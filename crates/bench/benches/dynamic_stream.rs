@@ -26,7 +26,8 @@ fn bench(c: &mut Criterion) {
     for threads in BENCH_THREADS {
         let t = Threads::new(threads);
 
-        let mut stream = StreamScheduler::new(base.clone(), k, t);
+        let mut inst = base.clone();
+        let mut stream = StreamScheduler::new(&inst, k, t);
         let mut flip = false;
         group.bench_function(threaded_label("repair/shift_interest", threads), |b| {
             b.iter(|| {
@@ -36,24 +37,25 @@ fn bench(c: &mut Criterion) {
                     user: 11,
                     interest: if flip { 0.9 } else { 0.1 },
                 };
-                black_box(stream.apply(&op).expect("valid op"));
+                black_box(stream.apply(&mut inst, &op).expect("valid op"));
             })
         });
 
-        let mut stream = StreamScheduler::new(base.clone(), k, t);
+        let mut inst = base.clone();
+        let mut stream = StreamScheduler::new(&inst, k, t);
         group.bench_function(threaded_label("repair/event_churn", threads), |b| {
             b.iter(|| {
-                let interest = vec![0.4; stream.instance().num_users()];
+                let interest = vec![0.4; inst.num_users()];
                 let add =
                     DeltaOp::AddEvent { event: Event::new(LocationId::new(3), 1.0), interest };
-                stream.apply(&add).expect("valid op");
-                let last = EventId::new(stream.instance().num_events() - 1);
-                black_box(stream.apply(&DeltaOp::RemoveEvent { event: last }).expect("valid op"));
+                stream.apply(&mut inst, &add).expect("valid op");
+                let remove = DeltaOp::RemoveEvent { event: EventId::new(inst.num_events() - 1) };
+                black_box(stream.apply(&mut inst, &remove).expect("valid op"));
             })
         });
 
         group.bench_function(threaded_label("full_rebuild", threads), |b| {
-            b.iter(|| black_box(StreamScheduler::new(base.clone(), k, t)))
+            b.iter(|| black_box(StreamScheduler::new(&base, k, t)))
         });
     }
     group.finish();

@@ -61,23 +61,25 @@ fn bench(c: &mut Criterion) {
     for threads in BENCH_THREADS {
         let t = Threads::new(threads);
 
-        let mut stream = StreamScheduler::new(base.clone(), k, t);
+        let mut inst = base.clone();
+        let mut stream = StreamScheduler::new(&inst, k, t);
         let mut flip = false;
         group.bench_function(threaded_label("coalesced/w32", threads), |b| {
             b.iter(|| {
                 flip = !flip;
                 let w = window(flip, ne, nu);
-                black_box(stream.repair_batch(&w).expect("valid window"));
+                black_box(stream.repair_batch(&mut inst, &w).expect("valid window"));
             })
         });
 
-        let mut stream = StreamScheduler::new(base.clone(), k, t);
+        let mut inst = base.clone();
+        let mut stream = StreamScheduler::new(&inst, k, t);
         let mut flip = false;
         group.bench_function(threaded_label("op_at_a_time/w32", threads), |b| {
             b.iter(|| {
                 flip = !flip;
                 for op in window(flip, ne, nu) {
-                    black_box(stream.apply(&op).expect("valid op"));
+                    black_box(stream.apply(&mut inst, &op).expect("valid op"));
                 }
             })
         });

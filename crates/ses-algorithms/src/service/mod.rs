@@ -3,18 +3,21 @@
 //! Every earlier entry point (CLI subcommands, experiment harness, benches,
 //! tests) re-plumbed `Instance` + scheduler + [`RunConfig`] + [`Scratch`]
 //! by hand, and nothing could keep warm state — the stream repairer's
-//! caches, the engine tables, the scratch pools — alive across requests.
+//! caches, the engine tables, the scratch buffers — alive across requests.
 //! [`SesService`] owns all of that behind one typed request surface:
 //!
-//! * a live [`Instance`] (mutated in place by [`Request::ApplyOps`]);
-//! * a [`SchedulerRegistry`] (one boxed scheduler per canonical name,
-//!   replacing the ad-hoc match tables that used to be duplicated across
+//! * the live [`Instance`] (mutated in place by [`Request::ApplyOps`]) —
+//!   always owned here, cold or warm;
+//! * a [`SchedulerRegistry`] (the canonical list of scheduler kinds,
+//!   replacing the ad-hoc name tables that used to be duplicated across
 //!   crates);
-//! * one persistent [`Scratch`] pool **per registered scheduler**, so
-//!   repeated `Schedule` requests re-run allocation-free;
+//! * one persistent [`Scratch`] pool shared by every scheduler (a session
+//!   runs one request at a time), so repeated `Schedule` requests re-run
+//!   allocation-free;
 //! * the stream repairer's warm caches ([`StreamScheduler`]): once a
 //!   `Repair` request arms it, every subsequent `ApplyOps` repairs the
-//!   schedule incrementally instead of recomputing.
+//!   schedule incrementally instead of recomputing. The repairer borrows
+//!   the service's instance per call; it never holds one of its own.
 //!
 //! ## Bit-identity contract
 //!
@@ -122,7 +125,7 @@ pub enum Request {
     },
     /// Report the service's full state summary.
     Snapshot,
-    /// Drop all warm state (repairer caches, scratch pools, last
+    /// Drop all warm state (repairer caches, scratch pool, last
     /// schedule). The live instance — including every applied op — is
     /// kept.
     Reset,
@@ -549,9 +552,10 @@ fn query_on(
                 });
             }
             let e = &inst.events[event];
-            let users = inst.num_users();
-            let mean_interest =
-                (0..users).map(|u| inst.event_interest.value(event, u)).sum::<f64>() / users as f64;
+            // The cached column sum is the same left-to-right fold as
+            // summing every user's `value()`: stored zeros add nothing and
+            // no layout stores a `-0.0`.
+            let mean_interest = inst.event_interest.column_sum(event) / inst.num_users() as f64;
             let scheduled_at =
                 last.and_then(|l| l.schedule.interval_of(EventId::new(event))).map(|t| t.index());
             Ok(QueryReply::Event {
@@ -659,9 +663,9 @@ fn snapshot_on(
 
 /// Versioned serialized form of a whole [`SesService`] session — the
 /// payload of a durable snapshot. Exactly one of `inst` / `stream` is
-/// populated, mirroring the live authority model (the armed repairer owns
-/// the instance while warm). Produced by [`SesService::to_state`],
-/// consumed by [`SesService::from_state`].
+/// populated: a cold session writes its instance in `inst`, a warm one
+/// writes it inside the repairer's state. Produced by
+/// [`SesService::to_state`], consumed by [`SesService::from_state`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionState {
     /// Layout version; readers reject anything they do not speak.
@@ -688,15 +692,11 @@ pub const SESSION_STATE_VERSION: u32 = 1;
 #[derive(Debug)]
 pub struct SesService {
     registry: SchedulerRegistry,
-    /// One warm scratch per registry entry (same indexing).
-    scratches: Vec<Scratch>,
-    /// Warm scratch for non-registry kinds run via
-    /// [`schedule_kind`](Self::schedule_kind).
-    misc_scratch: Scratch,
-    /// The live instance while cold. `None` exactly when `stream` is
-    /// `Some` (the armed repairer owns the authoritative instance).
-    inst: Option<Instance>,
-    /// The armed incremental repairer, if any.
+    /// The warm selection buffers every scheduler run reuses.
+    scratch: Scratch,
+    /// The live instance, cold or warm.
+    inst: Instance,
+    /// The armed incremental repairer, if any; it repairs `inst`.
     stream: Option<StreamScheduler>,
     last: Option<LastSchedule>,
     default_threads: Threads,
@@ -704,32 +704,14 @@ pub struct SesService {
     requests_handled: u64,
 }
 
-/// The authoritative instance among the two owners (free function so
-/// callers holding disjoint field borrows can use it).
-fn authority<'a>(stream: &'a Option<StreamScheduler>, inst: &'a Option<Instance>) -> &'a Instance {
-    match (stream, inst) {
-        (Some(s), _) => s.instance(),
-        (None, Some(i)) => i,
-        (None, None) => unreachable!("service always owns an instance"),
-    }
-}
-
 impl SesService {
     /// A service over `inst` with the standard registry and the ambient
     /// thread default (`SES_THREADS` or sequential).
     pub fn new(inst: Instance) -> Self {
-        Self::with_registry(inst, SchedulerRegistry::standard())
-    }
-
-    /// A service with an explicit registry.
-    pub fn with_registry(inst: Instance, registry: SchedulerRegistry) -> Self {
-        let mut scratches = Vec::new();
-        scratches.resize_with(registry.len(), Scratch::new);
         Self {
-            registry,
-            scratches,
-            misc_scratch: Scratch::new(),
-            inst: Some(inst),
+            registry: SchedulerRegistry::standard(),
+            scratch: Scratch::new(),
+            inst,
             stream: None,
             last: None,
             default_threads: Threads::default(),
@@ -753,7 +735,7 @@ impl SesService {
 
     /// The live instance in its current (post-ops) state.
     pub fn instance(&self) -> &Instance {
-        authority(&self.stream, &self.inst)
+        &self.inst
     }
 
     /// The schedule the service currently answers queries from — the one
@@ -797,8 +779,8 @@ impl SesService {
         }
     }
 
-    /// Runs one registered scheduler on the current instance with this
-    /// entry's warm scratch. Bit-identical — schedule, utility bits, full
+    /// Runs one registered scheduler on the current instance with the
+    /// service's warm scratch. Bit-identical — schedule, utility bits, full
     /// [`Stats`] — to a cold `run_configured` with the same config.
     ///
     /// # Errors
@@ -809,21 +791,12 @@ impl SesService {
         k: usize,
         cfg: RunConfig,
     ) -> Result<ScheduleResult, ServiceError> {
-        let idx = self.registry.resolve(algorithm)?;
-        let inst = authority(&self.stream, &self.inst);
-        let res = self.registry.run(idx, inst, k, cfg, &mut self.scratches[idx]);
-        self.last = Some(LastSchedule {
-            algorithm: res.algorithm.to_string(),
-            k,
-            schedule: res.schedule.clone(),
-            utility: res.utility,
-        });
-        Ok(res)
+        let kind = self.registry.kind(self.registry.resolve(algorithm)?);
+        Ok(self.schedule_kind(kind, k, cfg))
     }
 
-    /// [`schedule`](Self::schedule) for an explicit [`SchedulerKind`] —
-    /// registered kinds use their warm pool; unregistered ones (e.g. a
-    /// custom `Rand` seed) share the service's miscellaneous scratch.
+    /// [`schedule`](Self::schedule) for an explicit [`SchedulerKind`],
+    /// registered or not (e.g. a custom `Rand` seed).
     ///
     /// [`SchedulerKind`]: crate::SchedulerKind
     pub fn schedule_kind(
@@ -832,11 +805,7 @@ impl SesService {
         k: usize,
         cfg: RunConfig,
     ) -> ScheduleResult {
-        let inst = authority(&self.stream, &self.inst);
-        let res = match self.registry.resolve_kind(kind) {
-            Some(idx) => self.registry.run(idx, inst, k, cfg, &mut self.scratches[idx]),
-            None => kind.run_configured(inst, k, cfg, &mut self.misc_scratch),
-        };
+        let res = kind.run_configured(&self.inst, k, cfg, &mut self.scratch);
         self.last = Some(LastSchedule {
             algorithm: res.algorithm.to_string(),
             k,
@@ -848,9 +817,9 @@ impl SesService {
 
     /// Replaces the live instance's scenario constraints wholesale,
     /// validating the set first. Cold: the set is installed directly on the
-    /// owned instance (dropping a now-possibly-infeasible last schedule).
-    /// Warm: routed through [`StreamScheduler::set_constraints`], which
-    /// repairs the maintained schedule under the new rules.
+    /// instance (dropping a now-possibly-infeasible last schedule). Warm:
+    /// routed through [`StreamScheduler::set_constraints`], which repairs
+    /// the maintained schedule under the new rules.
     ///
     /// # Errors
     /// [`ServiceError::Build`] when the set does not validate against the
@@ -861,13 +830,12 @@ impl SesService {
     ) -> Result<(), ServiceError> {
         match &mut self.stream {
             Some(stream) => {
-                stream.set_constraints(constraints)?;
+                stream.set_constraints(&mut self.inst, constraints)?;
                 self.sync_last_from_stream();
             }
             None => {
-                let inst = self.inst.as_mut().expect("cold service owns an instance");
-                constraints.validate(inst.num_events())?;
-                inst.constraints = constraints;
+                constraints.validate(self.inst.num_events())?;
+                self.inst.constraints = constraints;
                 // The rules changed under the last schedule; drop it rather
                 // than answer queries from a possibly-infeasible one.
                 self.last = None;
@@ -888,15 +856,14 @@ impl SesService {
         let mut reports = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             if let Some(stream) = &mut self.stream {
-                match stream.apply(op) {
+                match stream.apply(&mut self.inst, op) {
                     Ok(report) => reports.push(report.clone()),
                     Err(e) => return Err(ServiceError::delta(i, e)),
                 }
                 self.ops_applied += 1;
                 self.sync_last_from_stream();
             } else {
-                let inst = self.inst.as_mut().expect("cold service owns an instance");
-                match delta::apply(inst, op) {
+                match delta::apply(&mut self.inst, op) {
                     // The instance changed under the last schedule; drop it
                     // rather than report a stale (possibly infeasible) one.
                     Ok(_) => {
@@ -940,15 +907,15 @@ impl SesService {
         let mut windows = Vec::with_capacity(ops.len().div_ceil(window));
         for (w, chunk) in ops.chunks(window).enumerate() {
             let start = w * window;
+            let batch = delta::coalesce::coalesce(&self.inst, chunk)
+                .map_err(|e| ServiceError::delta(start + e.op_index, e.source))?;
+            let coalesced = batch.len();
             if let Some(stream) = &mut self.stream {
-                let batch = delta::coalesce::coalesce(stream.instance(), chunk)
-                    .map_err(|e| ServiceError::delta(start + e.op_index, e.source))?;
-                let coalesced = batch.len();
                 // The coalesced batch re-validates clean by construction;
                 // a rejection here is an internal invariant breach and is
                 // reported against the window's first op.
                 let report = stream
-                    .apply_batch(&batch)
+                    .apply_batch(&mut self.inst, &batch)
                     .map_err(|e| ServiceError::delta(start, e.source))?
                     .clone();
                 self.ops_applied += chunk.len() as u64;
@@ -956,15 +923,12 @@ impl SesService {
                 reports.extend(std::iter::repeat_n(report, chunk.len()));
                 windows.push(WindowSummary { ops: chunk.len(), coalesced });
             } else {
-                let inst = self.inst.as_mut().expect("cold service owns an instance");
-                let batch = delta::coalesce::coalesce(inst, chunk)
-                    .map_err(|e| ServiceError::delta(start + e.op_index, e.source))?;
                 for op in &batch {
-                    delta::apply(inst, op).map_err(|e| ServiceError::delta(start, e))?;
+                    delta::apply(&mut self.inst, op).map_err(|e| ServiceError::delta(start, e))?;
                 }
                 self.ops_applied += chunk.len() as u64;
                 self.last = None;
-                windows.push(WindowSummary { ops: chunk.len(), coalesced: batch.len() });
+                windows.push(WindowSummary { ops: chunk.len(), coalesced });
             }
         }
         Ok((reports, windows))
@@ -986,10 +950,9 @@ impl SesService {
             None => false,
         };
         if !warm {
-            let inst = self.instance().clone();
-            self.stream =
-                Some(StreamScheduler::new(inst, k, cfg.threads).with_bound_gate(cfg.bound_gate));
-            self.inst = None;
+            self.stream = Some(
+                StreamScheduler::new(&self.inst, k, cfg.threads).with_bound_gate(cfg.bound_gate),
+            );
         }
         self.sync_last_from_stream();
         let report = self.stream.as_ref().expect("just armed").last_repair().clone();
@@ -1012,12 +975,12 @@ impl SesService {
     /// # Errors
     /// [`ServiceError::OutOfRange`] for a dangling index.
     pub fn query(&self, q: &Query) -> Result<QueryReply, ServiceError> {
-        query_on(self.instance(), self.last.as_ref(), q)
+        query_on(&self.inst, self.last.as_ref(), q)
     }
 
     /// The full state summary.
     pub fn snapshot(&self) -> Snapshot {
-        snapshot_on(self.instance(), self.last.as_ref(), self.stream.is_some(), self.ops_applied)
+        snapshot_on(&self.inst, self.last.as_ref(), self.stream.is_some(), self.ops_applied)
     }
 
     /// Captures an immutable [`ReadView`] of everything a read-only
@@ -1027,7 +990,7 @@ impl SesService {
     /// time (all three route through the same functions).
     pub fn read_view(&self) -> ReadView {
         ReadView {
-            inst: self.instance().clone(),
+            inst: self.inst.clone(),
             last: self.last.clone(),
             warm: self.stream.is_some(),
             ops_applied: self.ops_applied,
@@ -1035,15 +998,19 @@ impl SesService {
     }
 
     /// Serializes the full session state for a durable snapshot (see
-    /// [`SessionState`]): the authoritative instance (cold) or the
-    /// repairer's warm state (warm), the current schedule, and the
-    /// lifetime counters. Scratch pools are excluded (pure capacity).
+    /// [`SessionState`]): the instance (cold) or the repairer's warm state
+    /// with the instance inside it (warm), the current schedule, and the
+    /// lifetime counters. The scratch pool is excluded (pure capacity).
     /// For a seeded session the state is deterministic byte for byte.
     pub fn to_state(&self) -> SessionState {
+        let (inst, stream) = match &self.stream {
+            Some(s) => (None, Some(s.to_state(&self.inst))),
+            None => (Some(self.inst.clone()), None),
+        };
         SessionState {
             version: SESSION_STATE_VERSION,
-            inst: self.inst.clone(),
-            stream: self.stream.as_ref().map(|s| s.to_state()),
+            inst,
+            stream,
             last: self.last.as_ref().map(|l| ScheduleState {
                 algorithm: l.algorithm.clone(),
                 k: l.k,
@@ -1056,8 +1023,8 @@ impl SesService {
     }
 
     /// Rebuilds a session from a persisted state, re-validating everything
-    /// checkable: layout version, the authority invariant (exactly one
-    /// owner), the instance's invariants, the repairer's caches (see
+    /// checkable: layout version, exactly one of the cold and warm
+    /// instance slots, the instance's invariants, the repairer's caches (see
     /// [`StreamScheduler::from_state`]), and the recorded schedule — which
     /// is replayed through the feasibility gate and must reproduce the
     /// stored utility bits. A state that passes answers subsequent
@@ -1076,57 +1043,48 @@ impl SesService {
         let (inst, stream) = match (state.inst, state.stream) {
             (Some(inst), None) => {
                 inst.validate().map_err(|e| corrupt(&format!("instance fails validation: {e}")))?;
-                (Some(inst), None)
+                (inst, None)
             }
-            (None, Some(s)) => (None, Some(StreamScheduler::from_state(s)?)),
+            (None, Some(s)) => {
+                let (inst, stream) = StreamScheduler::from_state(s)?;
+                (inst, Some(stream))
+            }
             (Some(_), Some(_)) => return Err(corrupt("two instance owners (cold and warm)")),
             (None, None) => return Err(corrupt("no instance owner")),
         };
         let last = match state.last {
             None => None,
             Some(s) => {
-                let live = authority(&stream, &inst);
-                let mut schedule = Schedule::new(live);
+                let mut schedule = Schedule::new(&inst);
                 for a in &s.assignments {
                     schedule
-                        .assign(live, a.event, a.interval)
+                        .assign(&inst, a.event, a.interval)
                         .map_err(|e| corrupt(&format!("schedule replay: {e}")))?;
                 }
-                let utility = ses_core::scoring::utility::total_utility(live, &schedule);
+                let utility = ses_core::scoring::utility::total_utility(&inst, &schedule);
                 if utility.to_bits() != s.utility.to_bits() {
                     return Err(corrupt("stored utility does not match the schedule"));
                 }
                 Some(LastSchedule { algorithm: s.algorithm, k: s.k, schedule, utility: s.utility })
             }
         };
-        let registry = SchedulerRegistry::standard();
-        let mut scratches = Vec::new();
-        scratches.resize_with(registry.len(), Scratch::new);
         Ok(Self {
-            registry,
-            scratches,
-            misc_scratch: Scratch::new(),
-            inst,
             stream,
             last,
             default_threads,
             ops_applied: state.ops_applied,
             requests_handled: state.requests_handled,
+            ..Self::new(inst)
         })
     }
 
-    /// Drops all warm state — the armed repairer, the scratch pools, the
+    /// Drops all warm state — the armed repairer, the scratch pool, the
     /// last schedule — keeping the live instance (every applied op
     /// included) and the lifetime counters.
     pub fn reset(&mut self) {
-        if let Some(stream) = self.stream.take() {
-            self.inst = Some(stream.instance().clone());
-        }
+        self.stream = None;
         self.last = None;
-        for s in &mut self.scratches {
-            *s = Scratch::new();
-        }
-        self.misc_scratch = Scratch::new();
+        self.scratch = Scratch::new();
     }
 
     /// Answers one typed request. Failures come back as
@@ -1273,7 +1231,7 @@ mod tests {
         // Direct path: materialize, cold StreamScheduler.
         let mut inst = running_example();
         delta::apply(&mut inst, &op).unwrap();
-        let direct = StreamScheduler::new(inst, 3, Threads::sequential());
+        let direct = StreamScheduler::new(&inst, 3, Threads::sequential());
         assert_reports_match(&out.report, direct.last_repair());
         assert_eq!(svc.current_schedule().unwrap(), direct.schedule());
     }
@@ -1290,10 +1248,11 @@ mod tests {
         ];
         let mut svc = service();
         svc.repair(3, seq_cfg()).unwrap();
-        let mut direct = StreamScheduler::new(running_example(), 3, Threads::sequential());
+        let mut direct_inst = running_example();
+        let mut direct = StreamScheduler::new(&direct_inst, 3, Threads::sequential());
         for op in &ops {
             let reports = svc.apply_ops(std::slice::from_ref(op)).unwrap();
-            let direct_report = direct.apply(op).unwrap().clone();
+            let direct_report = direct.apply(&mut direct_inst, op).unwrap().clone();
             assert_eq!(reports.len(), 1);
             assert_eq!(reports[0].stats, direct_report.stats);
             assert_eq!(reports[0].utility.to_bits(), direct_report.utility.to_bits());
@@ -1306,7 +1265,7 @@ mod tests {
         // A k change pays a cold rebuild.
         let out = svc.repair(2, seq_cfg()).unwrap();
         assert!(!out.warm);
-        let rebuilt = StreamScheduler::new(direct.instance().clone(), 2, Threads::sequential());
+        let rebuilt = StreamScheduler::new(&direct_inst, 2, Threads::sequential());
         assert_reports_match(&out.report, rebuilt.last_repair());
     }
 
@@ -1580,6 +1539,47 @@ mod tests {
             other => panic!("wrong response {other:?}"),
         }
         assert!(svc.instance().constraints.is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// `Query::Event`'s mean interest, read off the cached column sum,
+        /// has the bits of the per-user `value()` fold it replaced, on every
+        /// layout and under `ShiftInterest` churn that also writes `0.0`
+        /// and `-0.0` (which can zero out whole columns).
+        #[test]
+        fn event_mean_interest_matches_the_per_user_fold(
+            writes in proptest::collection::vec((0usize..4, 0usize..2, 0usize..5), 16)
+        ) {
+            use ses_core::model::StorageKind;
+            const VALUES: [f64; 5] = [0.0, -0.0, 0.3, 0.45, 1.0];
+            for kind in [StorageKind::Dense, StorageKind::Sparse, StorageKind::Compressed] {
+                let mut inst = running_example();
+                inst.event_interest = inst.event_interest.convert_to(kind);
+                let mut svc = SesService::new(inst).with_threads(Threads::sequential());
+                for &(event, user, v) in &writes {
+                    let op = DeltaOp::ShiftInterest {
+                        event: EventId::new(event),
+                        user,
+                        interest: VALUES[v],
+                    };
+                    svc.apply_ops(&[op]).unwrap();
+                    let inst = svc.instance();
+                    for e in 0..inst.num_events() {
+                        let users = inst.num_users();
+                        let fold = (0..users).map(|u| inst.event_interest.value(e, u)).sum::<f64>()
+                            / users as f64;
+                        let Ok(QueryReply::Event { mean_interest, .. }) =
+                            svc.query(&Query::Event { event: e })
+                        else {
+                            panic!("event {e} must answer");
+                        };
+                        proptest::prop_assert_eq!(mean_interest.to_bits(), fold.to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ use ses_core::error::ServiceError;
 use ses_core::model::Instance;
 use ses_core::parallel::Threads;
 use std::collections::BTreeMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -116,76 +116,6 @@ fn install_signal_handlers() {
 
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
-
-// ---------------------------------------------------------------------------
-// Capped line reading (shared with stdio serve)
-// ---------------------------------------------------------------------------
-
-/// One capped line read.
-pub enum LineRead {
-    /// Clean end of input.
-    Eof,
-    /// A complete line within the cap (without the terminator).
-    Line(String),
-    /// The line exceeded the cap; its bytes were drained, not buffered.
-    Oversized,
-}
-
-/// Reads one `\n`-terminated line, buffering at most `cap` bytes. An
-/// over-cap line is consumed chunk by chunk (bounded memory) and reported
-/// as [`LineRead::Oversized`] so the caller can answer an error and keep
-/// the session alive. Used by the stdio serve loop; the TCP path uses
-/// [`ConnReader`], which adds shutdown/idle ticks.
-///
-/// # Errors
-/// Propagates the reader's I/O errors (including invalid UTF-8).
-pub fn read_capped_line(reader: &mut impl BufRead, cap: usize) -> std::io::Result<LineRead> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut overflowed = false;
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            // EOF. A final unterminated line still counts as a line.
-            return Ok(if overflowed {
-                LineRead::Oversized
-            } else if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(finish_line(buf)?)
-            });
-        }
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.unwrap_or(chunk.len());
-        if !overflowed {
-            if buf.len() + take > cap {
-                overflowed = true;
-                buf = Vec::new(); // drop what was buffered; keep draining
-            } else {
-                buf.extend_from_slice(&chunk[..take]);
-            }
-        }
-        let consumed = take + usize::from(newline.is_some());
-        reader.consume(consumed);
-        if newline.is_some() {
-            return Ok(if overflowed {
-                LineRead::Oversized
-            } else {
-                LineRead::Line(finish_line(buf)?)
-            });
-        }
-    }
-}
-
-/// UTF-8 conversion with the same error shape `BufRead::lines` produces,
-/// and the same trailing-`\r` trim.
-fn finish_line(mut buf: Vec<u8>) -> std::io::Result<String> {
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Session backend (shared with stdio serve)
@@ -746,8 +676,8 @@ fn reject_connection(mut stream: TcpStream, cap: usize) {
     let _ = stream.flush();
 }
 
-/// One connection's serve loop: read framed lines (with shutdown/idle
-/// ticks), route each through the manager, answer on the same socket.
+/// One connection's serve loop: the shared line loop over the socket
+/// (with shutdown/idle ticks), routing each line through the manager.
 /// Write failures end the connection silently — the peer is gone.
 fn serve_connection(
     stream: TcpStream,
@@ -759,54 +689,74 @@ fn serve_connection(
         return;
     }
     let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = ConnReader::new(read_half);
     let mut out = stream;
+    let _ = serve_lines(read_half, &mut out, max_line_bytes, idle_timeout, |line| {
+        manager.handle_line(line)
+    });
+}
+
+/// The serve loop both transports share: frames `input` into lines with a
+/// `max_line_bytes` cap, skips blank lines and `#` comments, and writes
+/// `handle`'s answer to every other line to `out`. An over-cap line is
+/// drained, answered with a protocol `Error`, and the loop goes on. A
+/// read failure or an idle timeout is answered with one `Error` line and
+/// ends the loop; so do end of input and a shutdown request, unanswered
+/// (a partial line is abandoned). Shutdown and idle ticks only fire on
+/// inputs with a read timeout (sockets); stdin blocks until data or EOF.
+///
+/// Returns the number of lines answered (error answers included) and,
+/// when the loop ended on a read failure (e.g. invalid UTF-8), that
+/// failure.
+///
+/// # Errors
+/// Write failures on `out` — the response channel is gone.
+pub fn serve_lines<R: Read, W: Write>(
+    input: R,
+    out: &mut W,
+    max_line_bytes: usize,
+    idle_timeout: Option<Duration>,
+    mut handle: impl FnMut(&str) -> String,
+) -> std::io::Result<(u64, Option<ServiceError>)> {
+    let mut reader = ConnReader::new(input);
+    let mut answered = 0u64;
     loop {
         if shutdown_requested() {
-            return;
+            return Ok((answered, None));
         }
-        match reader.read_line(max_line_bytes, idle_timeout) {
+        let (resp, last, failure) = match reader.read_line(max_line_bytes, idle_timeout) {
             Ok(NetRead::Line(line)) => {
                 let trimmed = line.trim();
                 if trimmed.is_empty() || trimmed.starts_with('#') {
                     continue;
                 }
-                let resp = manager.handle_line(trimmed);
-                if writeln!(out, "{resp}").is_err() || out.flush().is_err() {
-                    return;
-                }
+                (handle(trimmed), false, None)
             }
             Ok(NetRead::Oversized) => {
                 let err = ServiceError::protocol(format!(
                     "request line exceeds --max-line-bytes ({max_line_bytes})"
                 ));
-                let line = wire::encode_response(&error_response(&err));
-                if writeln!(out, "{line}").is_err() || out.flush().is_err() {
-                    return;
-                }
+                (wire::encode_response(&error_response(&err)), false, None)
             }
             Ok(NetRead::IdleTimeout) => {
                 let err = ServiceError::protocol("idle timeout; closing connection");
-                let line = wire::encode_response(&error_response(&err));
-                let _ = writeln!(out, "{line}");
-                let _ = out.flush();
-                return;
+                (wire::encode_response(&error_response(&err)), true, None)
             }
-            Ok(NetRead::Eof) | Ok(NetRead::Shutdown) => return,
+            Ok(NetRead::Eof | NetRead::Shutdown) => return Ok((answered, None)),
             Err(e) => {
-                // Answer in-protocol (best effort) and close, mirroring
-                // the stdio read-failure contract.
                 let err = ServiceError::from(e);
-                let line = wire::encode_response(&error_response(&err));
-                let _ = writeln!(out, "{line}");
-                let _ = out.flush();
-                return;
+                (wire::encode_response(&error_response(&err)), true, Some(err))
             }
+        };
+        writeln!(out, "{resp}")?;
+        out.flush()?;
+        answered += 1;
+        if last {
+            return Ok((answered, failure));
         }
     }
 }
 
-/// What one TCP line read produced.
+/// What one framed line read produced.
 enum NetRead {
     /// A complete line within the cap.
     Line(String),
@@ -816,34 +766,36 @@ enum NetRead {
     Eof,
     /// No bytes for the configured idle window.
     IdleTimeout,
-    /// A graceful shutdown was requested mid-read (any partial line is
-    /// abandoned — it was never answered, and the peer sees the close).
+    /// A graceful shutdown was requested mid-read.
     Shutdown,
 }
 
-/// Line framing over a read-timeout socket: accumulates bytes across
-/// timeout ticks (polling the shutdown flag and the idle clock at each),
-/// enforcing the line cap with bounded memory exactly like
-/// [`read_capped_line`].
-struct ConnReader {
-    stream: TcpStream,
+/// Line framing over any reader: accumulates bytes across reads, enforcing
+/// the line cap with bounded memory (an over-cap line is drained, not
+/// buffered). On a read-timeout socket each timeout tick polls the
+/// shutdown flag and the idle clock; a blocking reader never ticks.
+struct ConnReader<R> {
+    input: R,
     /// Bytes received but not yet returned as lines.
     pending: Vec<u8>,
+    /// Prefix of `pending` already searched for a newline.
+    scanned: usize,
     /// The line being read already blew the cap and is draining.
     overflowed: bool,
 }
 
-impl ConnReader {
-    fn new(stream: TcpStream) -> Self {
-        Self { stream, pending: Vec::new(), overflowed: false }
+impl<R: Read> ConnReader<R> {
+    fn new(input: R) -> Self {
+        Self { input, pending: Vec::new(), scanned: 0, overflowed: false }
     }
 
     fn read_line(&mut self, cap: usize, idle: Option<Duration>) -> std::io::Result<NetRead> {
         let mut last_activity = Instant::now();
         loop {
-            // A buffered complete line answers without touching the socket.
-            if let Some(pos) = self.pending.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.pending.drain(..=pos).collect();
+            // A buffered complete line answers without touching the input.
+            if let Some(pos) = self.pending[self.scanned..].iter().position(|&b| b == b'\n') {
+                let mut line: Vec<u8> = self.pending.drain(..=self.scanned + pos).collect();
+                self.scanned = 0;
                 line.pop(); // the newline
                 if self.overflowed || line.len() > cap {
                     self.overflowed = false;
@@ -851,13 +803,15 @@ impl ConnReader {
                 }
                 return finish_line(line).map(NetRead::Line);
             }
+            self.scanned = self.pending.len();
             if self.pending.len() > cap {
                 // Partial line already over the cap: switch to draining.
                 self.pending.clear();
+                self.scanned = 0;
                 self.overflowed = true;
             }
             let mut chunk = [0u8; 8192];
-            match self.stream.read(&mut chunk) {
+            match self.input.read(&mut chunk) {
                 Ok(0) => {
                     if self.overflowed {
                         self.overflowed = false;
@@ -867,6 +821,7 @@ impl ConnReader {
                         return Ok(NetRead::Eof);
                     }
                     // A final unterminated line still counts as a line.
+                    self.scanned = 0;
                     let line = std::mem::take(&mut self.pending);
                     return finish_line(line).map(NetRead::Line);
                 }
@@ -908,6 +863,17 @@ impl ConnReader {
             }
         }
     }
+}
+
+/// UTF-8 conversion with the same error shape `BufRead::lines` produces,
+/// and the same trailing-`\r` trim.
+fn finish_line(mut buf: Vec<u8>) -> std::io::Result<String> {
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    String::from_utf8(buf).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })
 }
 
 #[cfg(test)]
@@ -1099,10 +1065,10 @@ mod tests {
     #[test]
     fn capped_line_reader_matches_the_stdio_contract() {
         let data = b"short\nway too long for the cap\nafter\n";
-        let mut r = std::io::BufReader::new(&data[..]);
-        assert!(matches!(read_capped_line(&mut r, 10).unwrap(), LineRead::Line(l) if l == "short"));
-        assert!(matches!(read_capped_line(&mut r, 10).unwrap(), LineRead::Oversized));
-        assert!(matches!(read_capped_line(&mut r, 10).unwrap(), LineRead::Line(l) if l == "after"));
-        assert!(matches!(read_capped_line(&mut r, 10).unwrap(), LineRead::Eof));
+        let mut r = ConnReader::new(&data[..]);
+        assert!(matches!(r.read_line(10, None).unwrap(), NetRead::Line(l) if l == "short"));
+        assert!(matches!(r.read_line(10, None).unwrap(), NetRead::Oversized));
+        assert!(matches!(r.read_line(10, None).unwrap(), NetRead::Line(l) if l == "after"));
+        assert!(matches!(r.read_line(10, None).unwrap(), NetRead::Eof));
     }
 }

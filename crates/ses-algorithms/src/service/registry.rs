@@ -1,53 +1,25 @@
-//! The scheduler registry: one canonical name → boxed-scheduler table.
+//! The scheduler registry: the canonical list of scheduler kinds.
 //!
 //! Before the service existed, the CLI, the experiment harness, and the
 //! test suites each kept their own ad-hoc `match`/array tables mapping
 //! scheduler names to constructors. [`SchedulerRegistry`] replaces them:
-//! it owns one boxed instance of every registered scheduler, resolves
-//! (aliased, case-insensitive) names through the single parser
-//! ([`SchedulerKind::parse`]), and runs entries through the same
-//! [`Scheduler::run_configured`] path every caller uses — so a result
-//! obtained via the registry is bit-identical to one obtained by calling
-//! the concrete scheduler directly.
+//! it lists the registered [`SchedulerKind`]s, resolves (aliased,
+//! case-insensitive) names through the single parser
+//! ([`SchedulerKind::parse`]), and runs entries through
+//! [`SchedulerKind::run_configured`] — the one dispatch table — so a
+//! result obtained via the registry is bit-identical to one obtained by
+//! calling the concrete scheduler directly.
 
-use crate::common::{RunConfig, ScheduleResult, Scheduler, Scratch};
+use crate::common::{RunConfig, ScheduleResult, Scratch};
 use crate::SchedulerKind;
 use ses_core::error::ServiceError;
 use ses_core::model::Instance;
-use std::fmt;
 
-/// Boxes the concrete scheduler behind a [`SchedulerKind`] tag.
-fn boxed(kind: SchedulerKind) -> Box<dyn Scheduler + Send + Sync> {
-    match kind {
-        SchedulerKind::Alg => Box::new(crate::alg::Alg),
-        SchedulerKind::Inc => Box::new(crate::inc::Inc),
-        SchedulerKind::Hor => Box::new(crate::hor::Hor),
-        SchedulerKind::HorI => Box::new(crate::hor_i::HorI),
-        SchedulerKind::Top => Box::new(crate::top::Top),
-        SchedulerKind::Rand(seed) => Box::new(crate::random::Rand::with_seed(seed)),
-        SchedulerKind::Exact => Box::new(crate::exact::Exact),
-        SchedulerKind::Lazy => Box::new(crate::lazy::LazyGreedy),
-        SchedulerKind::RefinedHor => Box::new(crate::refine::Refined::new(crate::hor::Hor)),
-    }
-}
-
-/// One registered scheduler: its kind tag, canonical display name, and the
-/// boxed implementation (constructed once, reused for every run).
-struct RegistryEntry {
-    kind: SchedulerKind,
-    name: &'static str,
-    scheduler: Box<dyn Scheduler + Send + Sync>,
-}
-
-/// Name → boxed-scheduler registry (see the module docs).
-///
-/// Entries are addressed by index so callers (notably [`SesService`],
-/// which keeps one warm [`Scratch`] per entry) can attach per-scheduler
-/// state without re-resolving names.
-///
-/// [`SesService`]: crate::service::SesService
+/// Name → scheduler-kind registry (see the module docs). Entries are
+/// addressed by index, in registration order.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerRegistry {
-    entries: Vec<RegistryEntry>,
+    kinds: Vec<SchedulerKind>,
 }
 
 impl SchedulerRegistry {
@@ -70,41 +42,37 @@ impl SchedulerRegistry {
     /// A registry over an explicit kind list (order is preserved and
     /// becomes the entry indexing).
     pub fn from_kinds(kinds: impl IntoIterator<Item = SchedulerKind>) -> Self {
-        let entries = kinds
-            .into_iter()
-            .map(|kind| RegistryEntry { kind, name: kind.name(), scheduler: boxed(kind) })
-            .collect();
-        Self { entries }
+        Self { kinds: kinds.into_iter().collect() }
     }
 
     /// Number of registered schedulers.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.kinds.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.kinds.is_empty()
     }
 
     /// The canonical display names, in entry order.
     pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|e| e.name).collect()
+        self.kinds.iter().map(|k| k.name()).collect()
     }
 
     /// The registered kinds, in entry order.
     pub fn kinds(&self) -> Vec<SchedulerKind> {
-        self.entries.iter().map(|e| e.kind).collect()
+        self.kinds.clone()
     }
 
     /// The kind tag of entry `idx`.
     pub fn kind(&self, idx: usize) -> SchedulerKind {
-        self.entries[idx].kind
+        self.kinds[idx]
     }
 
     /// The canonical display name of entry `idx`.
     pub fn name(&self, idx: usize) -> &'static str {
-        self.entries[idx].name
+        self.kinds[idx].name()
     }
 
     /// Resolves a (case-insensitive, alias-tolerant) scheduler name to an
@@ -122,20 +90,13 @@ impl SchedulerRegistry {
     /// The entry index of an exact kind (including `Rand`'s seed), if
     /// registered.
     pub fn resolve_kind(&self, kind: SchedulerKind) -> Option<usize> {
-        self.entries.iter().position(|e| e.kind == kind)
+        self.kinds.iter().position(|&k| k == kind)
     }
 
-    /// Direct trait-object access to a registered scheduler by name.
-    pub fn get(&self, name: &str) -> Option<&(dyn Scheduler + Send + Sync)> {
-        let idx = self.resolve(name).ok()?;
-        Some(self.entries[idx].scheduler.as_ref())
-    }
-
-    /// Runs entry `idx` with full configuration control. Identical to
-    /// calling the concrete scheduler's `run_configured` — same schedule,
-    /// utility bits, and [`Stats`] — except the result's `algorithm` label
-    /// is normalized to the entry's canonical name (`HOR+LS` rather than
-    /// the `Refined` wrapper's internal `REFINED`).
+    /// Runs entry `idx` with full configuration control — exactly
+    /// [`SchedulerKind::run_configured`]: same schedule, utility bits,
+    /// [`Stats`], and canonical `algorithm` label (`HOR+LS` rather than the
+    /// `Refined` wrapper's internal `REFINED`).
     ///
     /// [`Stats`]: ses_core::stats::Stats
     pub fn run(
@@ -146,10 +107,7 @@ impl SchedulerRegistry {
         cfg: RunConfig,
         scratch: &mut Scratch,
     ) -> ScheduleResult {
-        let entry = &self.entries[idx];
-        let mut res = entry.scheduler.run_configured(inst, k, cfg, scratch);
-        res.algorithm = entry.name;
-        res
+        self.kinds[idx].run_configured(inst, k, cfg, scratch)
     }
 
     /// Entry indices of the paper's six-method evaluation lineup (§4.1),
@@ -162,12 +120,6 @@ impl SchedulerRegistry {
 impl Default for SchedulerRegistry {
     fn default() -> Self {
         Self::standard()
-    }
-}
-
-impl fmt::Debug for SchedulerRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SchedulerRegistry").field("names", &self.names()).finish()
     }
 }
 
@@ -205,15 +157,16 @@ mod tests {
         assert!(err.is_usage());
     }
 
-    /// The registry path must be bit-identical to the direct
-    /// `SchedulerKind::run_configured` path for every registered entry.
+    /// Running every entry twice through one shared scratch pool must be
+    /// bit-identical to a run on a fresh pool: no entry's leftovers leak
+    /// into another's result.
     #[test]
     fn registry_runs_match_direct_runs() {
         let reg = SchedulerRegistry::standard();
         let inst = running_example();
         let cfg = RunConfig::threaded(Threads::sequential());
-        for idx in 0..reg.len() {
-            let mut scratch = Scratch::new();
+        let mut scratch = Scratch::new();
+        for idx in (0..reg.len()).chain(0..reg.len()) {
             let via_registry = reg.run(idx, &inst, 3, cfg, &mut scratch);
             let direct = reg.kind(idx).run_configured(&inst, 3, cfg, &mut Scratch::new());
             assert_eq!(via_registry.algorithm, direct.algorithm);
@@ -228,12 +181,5 @@ mod tests {
         let reg = SchedulerRegistry::standard();
         let names: Vec<&str> = reg.paper_indices().into_iter().map(|i| reg.name(i)).collect();
         assert_eq!(names, vec!["ALG", "INC", "HOR", "HOR-I", "TOP", "RAND"]);
-    }
-
-    #[test]
-    fn boxed_access_by_name() {
-        let reg = SchedulerRegistry::standard();
-        assert_eq!(reg.get("inc").unwrap().name(), "INC");
-        assert!(reg.get("nope").is_none());
     }
 }

@@ -137,9 +137,13 @@ pub struct StreamState {
 /// Maintains a schedule over a live instance under a [`DeltaOp`] stream
 /// (see the module docs for the repair machinery and its equivalence
 /// guarantee).
+///
+/// The repairer owns only its caches; the instance lives beside it and is
+/// passed to every call. Each call must pass the instance the repairer was
+/// built on, in the state its previous call left it — the caches describe
+/// exactly that instance.
 #[derive(Debug)]
 pub struct StreamScheduler {
-    inst: Instance,
     k: usize,
     threads: Threads,
     /// Warm competing-mass table `C(u,t)`, `[t·|U| + u]`.
@@ -170,38 +174,34 @@ impl StreamScheduler {
     /// `|E|·|T|` score table, one selection run. This is also the "full
     /// recompute" baseline the incremental path is measured against —
     /// [`last_repair`](Self::last_repair) holds its cost.
-    pub fn new(inst: Instance, k: usize, threads: Threads) -> Self {
+    pub fn new(inst: &Instance, k: usize, threads: Threads) -> Self {
         let start = Instant::now();
-        let mut scratch = Scratch::new();
-        let mut engine = ScoringEngine::with_threads(&inst, threads);
-        let mut table = score_table_full(&mut engine, threads);
-        let rescored = table.iter().flatten().count();
-        let schedule = run_selection(&inst, &mut engine, &mut table, k, &mut scratch);
-        let stats = *engine.stats();
-        let (comp_mass, engine_caches) = engine.into_warm_parts();
-        let utility = total_utility(&inst, &schedule);
-        let last = RepairReport {
-            rescored,
-            stats,
-            utility,
-            schedule_len: schedule.len(),
-            time_ms: start.elapsed().as_secs_f64() * 1e3,
-        };
-        Self {
-            inst,
+        let mut stream = Self {
             k,
             threads,
-            comp_mass,
-            table,
-            schedule,
-            utility,
-            cumulative: stats,
-            last,
+            comp_mass: Vec::new(),
+            table: Vec::new(),
+            schedule: Schedule::new(inst),
+            utility: 0.0,
+            cumulative: Stats::default(),
+            last: RepairReport {
+                rescored: 0,
+                stats: Stats::default(),
+                utility: 0.0,
+                schedule_len: 0,
+                time_ms: 0.0,
+            },
             ops_applied: 0,
-            scratch,
-            engine_caches: Some(engine_caches),
+            scratch: Scratch::new(),
+            engine_caches: None,
             bound_gate: false,
-        }
+        };
+        let engine = ScoringEngine::with_threads(inst, threads);
+        stream.repair(inst, engine, start, 0, Stats::default(), |table, engine| {
+            *table = score_table_full(engine, threads);
+            table.iter().flatten().count()
+        });
+        stream
     }
 
     /// Toggles the bound-first gate for subsequent repairs. The gate never
@@ -213,65 +213,25 @@ impl StreamScheduler {
         self
     }
 
-    /// Applies one op and repairs the schedule. Returns this repair's
-    /// measurements (also available as [`last_repair`](Self::last_repair)).
+    /// Applies one op to `inst` and repairs the schedule. Returns this
+    /// repair's measurements (also available as
+    /// [`last_repair`](Self::last_repair)).
     ///
     /// # Errors
     /// Any [`DeltaError`] from validation; on error nothing changes.
-    pub fn apply(&mut self, op: &DeltaOp) -> Result<&RepairReport, DeltaError> {
+    pub fn apply(
+        &mut self,
+        inst: &mut Instance,
+        op: &DeltaOp,
+    ) -> Result<&RepairReport, DeltaError> {
         let start = Instant::now();
-        // Leaving users' bound deductions need their pre-op µ/σ/C values.
-        let retire_adjust = match op {
-            DeltaOp::RetireUsers { users } if users.iter().all(|&u| u < self.inst.num_users()) => {
-                Some(user_cell_contributions(&self.inst, &self.comp_mass, users))
-            }
-            _ => None,
-        };
-        let effect = delta::apply(&mut self.inst, op)?;
-        delta::refresh_comp_mass(&mut self.comp_mass, &self.inst, &effect);
-        let adjust = match &effect {
-            DeltaEffect::UsersAdded { first, count } => {
-                let joined: Vec<usize> = (*first..first + count).collect();
-                Some(user_cell_contributions(&self.inst, &self.comp_mass, &joined))
-            }
-            DeltaEffect::UsersRetired { .. } => retire_adjust,
-            _ => None,
-        };
-        // User churn invalidates the static caches (weights/activity rows
-        // resize, competing masses change); every other op reuses them,
-        // making the warm rebuild O(|U|·|T|) lighter.
-        let warm_caches = match &effect {
-            DeltaEffect::UsersAdded { .. } | DeltaEffect::UsersRetired { .. } => {
-                self.engine_caches = None;
-                None
-            }
-            _ => self.engine_caches.take(),
-        };
-        let comp = std::mem::take(&mut self.comp_mass);
-        let mut engine = match warm_caches {
-            Some(caches) => ScoringEngine::from_warm_parts(&self.inst, comp, caches, self.threads),
-            None => ScoringEngine::from_comp_mass(&self.inst, comp, self.threads),
-        };
-        let rescored =
-            maintain_table(&mut self.table, &effect, &mut engine, adjust, self.bound_gate);
-        let schedule =
-            run_selection(&self.inst, &mut engine, &mut self.table, self.k, &mut self.scratch);
-        let stats = *engine.stats();
-        let (comp_mass, engine_caches) = engine.into_warm_parts();
-        self.comp_mass = comp_mass;
-        self.engine_caches = Some(engine_caches);
-        self.utility = total_utility(&self.inst, &schedule);
-        self.schedule = schedule;
-        self.cumulative += stats;
+        let (effect, adjust) = self.apply_op(inst, op)?;
         self.ops_applied += 1;
-        self.last = RepairReport {
-            rescored,
-            stats,
-            utility: self.utility,
-            schedule_len: self.schedule.len(),
-            time_ms: start.elapsed().as_secs_f64() * 1e3,
-        };
-        Ok(&self.last)
+        let engine = self.warm_engine(inst);
+        let gate = self.bound_gate;
+        Ok(self.repair(inst, engine, start, 0, Stats::default(), |table, engine| {
+            maintain_table(table, &effect, engine, adjust, gate)
+        }))
     }
 
     /// Applies a whole batch of ops under a **single** repair: the score
@@ -289,90 +249,41 @@ impl StreamScheduler {
     /// [`CoalesceError`] wrapping the first rejected op. The valid prefix
     /// stays applied and selection still runs, so the schedule always
     /// matches the live instance even on failure.
-    pub fn apply_batch(&mut self, ops: &[DeltaOp]) -> Result<&RepairReport, CoalesceError> {
+    pub fn apply_batch(
+        &mut self,
+        inst: &mut Instance,
+        ops: &[DeltaOp],
+    ) -> Result<&RepairReport, CoalesceError> {
         let start = Instant::now();
         let mut rescored = 0usize;
         let mut table_stats = Stats::default();
         let mut failed = None;
         for (op_index, op) in ops.iter().enumerate() {
-            let retire_adjust = match op {
-                DeltaOp::RetireUsers { users }
-                    if users.iter().all(|&u| u < self.inst.num_users()) =>
-                {
-                    Some(user_cell_contributions(&self.inst, &self.comp_mass, users))
-                }
-                _ => None,
-            };
-            let effect = match delta::apply(&mut self.inst, op) {
-                Ok(effect) => effect,
+            let (effect, adjust) = match self.apply_op(inst, op) {
+                Ok(applied) => applied,
                 Err(source) => {
                     failed = Some(CoalesceError { op_index, source });
                     break;
                 }
             };
-            delta::refresh_comp_mass(&mut self.comp_mass, &self.inst, &effect);
-            let adjust = match &effect {
-                DeltaEffect::UsersAdded { first, count } => {
-                    let joined: Vec<usize> = (*first..first + count).collect();
-                    Some(user_cell_contributions(&self.inst, &self.comp_mass, &joined))
-                }
-                DeltaEffect::UsersRetired { .. } => retire_adjust,
-                _ => None,
-            };
-            let warm_caches = match &effect {
-                DeltaEffect::UsersAdded { .. } | DeltaEffect::UsersRetired { .. } => {
-                    self.engine_caches = None;
-                    None
-                }
-                _ => self.engine_caches.take(),
-            };
-            let comp = std::mem::take(&mut self.comp_mass);
-            let mut engine = match warm_caches {
-                Some(caches) => {
-                    ScoringEngine::from_warm_parts(&self.inst, comp, caches, self.threads)
-                }
-                None => ScoringEngine::from_comp_mass(&self.inst, comp, self.threads),
-            };
+            self.ops_applied += 1;
+            let mut engine = self.warm_engine(inst);
             rescored +=
                 maintain_table(&mut self.table, &effect, &mut engine, adjust, self.bound_gate);
             table_stats += *engine.stats();
-            let (comp_mass, engine_caches) = engine.into_warm_parts();
-            self.comp_mass = comp_mass;
-            self.engine_caches = Some(engine_caches);
-            self.ops_applied += 1;
+            self.keep_warm_parts(engine);
         }
         // One selection for the whole batch — also after a mid-batch
         // failure, so the schedule matches whatever prefix was applied.
-        let warm_caches = self.engine_caches.take();
-        let comp = std::mem::take(&mut self.comp_mass);
-        let mut engine = match warm_caches {
-            Some(caches) => ScoringEngine::from_warm_parts(&self.inst, comp, caches, self.threads),
-            None => ScoringEngine::from_comp_mass(&self.inst, comp, self.threads),
-        };
-        let schedule =
-            run_selection(&self.inst, &mut engine, &mut self.table, self.k, &mut self.scratch);
-        let mut stats = *engine.stats();
-        stats += table_stats;
-        let (comp_mass, engine_caches) = engine.into_warm_parts();
-        self.comp_mass = comp_mass;
-        self.engine_caches = Some(engine_caches);
-        self.utility = total_utility(&self.inst, &schedule);
-        self.schedule = schedule;
-        self.cumulative += stats;
-        self.last = RepairReport {
-            rescored,
-            stats,
-            utility: self.utility,
-            schedule_len: self.schedule.len(),
-            time_ms: start.elapsed().as_secs_f64() * 1e3,
-        };
+        let engine = self.warm_engine(inst);
+        let report = self.repair(inst, engine, start, rescored, table_stats, |_, _| 0);
         match failed {
             Some(err) => Err(err),
-            None => Ok(&self.last),
+            None => Ok(report),
         }
     }
 
-    /// Coalesces `window` against the live instance (see
+    /// Coalesces `window` against `inst` (see
     /// [`ses_core::delta::coalesce`]) and applies the canonical batch under
     /// one repair — the windowed-ingestion entry point. The repaired
     /// schedule and utility bits equal both the op-at-a-time path and a
@@ -386,15 +297,19 @@ impl StreamScheduler {
     /// [`CoalesceError`] from window validation, indexed by window
     /// position; nothing is applied in that case (window-atomic, unlike
     /// the op-at-a-time path's per-op atomicity).
-    pub fn repair_batch(&mut self, window: &[DeltaOp]) -> Result<&RepairReport, CoalesceError> {
-        let batch = delta::coalesce::coalesce(&self.inst, window)?;
+    pub fn repair_batch(
+        &mut self,
+        inst: &mut Instance,
+        window: &[DeltaOp],
+    ) -> Result<&RepairReport, CoalesceError> {
+        let batch = delta::coalesce::coalesce(inst, window)?;
         // The coalesced batch re-validates clean by construction; any
         // rejection here would be an internal invariant breach, so the
         // error (with its batch-local index) is simply propagated.
-        self.apply_batch(&batch)
+        self.apply_batch(inst, &batch)
     }
 
-    /// Replaces the instance's [`ConstraintSet`] wholesale and repairs the
+    /// Replaces `inst`'s [`ConstraintSet`] wholesale and repairs the
     /// schedule under the new rules — the warm-path counterpart of building
     /// a constrained instance cold (the service's `Schedule` request with a
     /// `constraints` block routes here when a stream session is live).
@@ -409,57 +324,115 @@ impl StreamScheduler {
     /// events; nothing changes on error.
     ///
     /// [`ConstraintSet`]: ses_core::constraints::ConstraintSet
+    /// [`BuildError`]: ses_core::error::BuildError
     pub fn set_constraints(
         &mut self,
+        inst: &mut Instance,
         constraints: ses_core::constraints::ConstraintSet,
     ) -> Result<&RepairReport, ses_core::error::BuildError> {
-        constraints.validate(self.inst.num_events())?;
+        self.debug_check_instance(inst);
+        constraints.validate(inst.num_events())?;
         let start = Instant::now();
-        self.inst.constraints = constraints;
-        let warm_caches = self.engine_caches.take();
-        let comp = std::mem::take(&mut self.comp_mass);
-        let mut engine = match warm_caches {
-            Some(caches) => ScoringEngine::from_warm_parts(&self.inst, comp, caches, self.threads),
-            None => ScoringEngine::from_comp_mass(&self.inst, comp, self.threads),
-        };
-        let num_e = self.inst.num_events();
-        let probe = Schedule::new(&self.inst);
-        let mut rescored = 0;
-        for t in 0..self.inst.num_intervals() {
-            let interval = IntervalId::new(t);
-            for e in 0..num_e {
-                let event = EventId::new(e);
-                let idx = t * num_e + e;
-                let valid = probe.is_valid_assignment(&self.inst, event, interval);
-                match (&self.table[idx], valid) {
-                    (None, true) => {
-                        engine.stats_mut().record_examined(1);
-                        self.table[idx] = if self.bound_gate {
-                            engine.stats_mut().record_bound_skip();
-                            Some(TableEntry {
-                                score: engine.score_bound(event, interval),
-                                exact: false,
-                            })
-                        } else {
-                            rescored += 1;
-                            Some(TableEntry {
-                                score: engine.assignment_score(event, interval),
-                                exact: true,
-                            })
-                        };
-                    }
-                    (Some(_), false) => self.table[idx] = None,
-                    _ => {}
-                }
+        inst.constraints = constraints;
+        let engine = self.warm_engine(inst);
+        let gate = self.bound_gate;
+        Ok(self.repair(inst, engine, start, 0, Stats::default(), |table, engine| {
+            reconcile_validity(table, engine, gate)
+        }))
+    }
+
+    /// Applies one op to `inst` and refreshes the competing-mass table,
+    /// returning the op's effect and — for user churn — the churned users'
+    /// per-cell score contributions the table maintenance adjusts by. User
+    /// churn also drops the static engine caches (weights and activity
+    /// rows resize, competing masses change).
+    fn apply_op(
+        &mut self,
+        inst: &mut Instance,
+        op: &DeltaOp,
+    ) -> Result<(DeltaEffect, Option<Vec<f64>>), DeltaError> {
+        self.debug_check_instance(inst);
+        // Leaving users' bound deductions need their pre-op µ/σ/C values.
+        let retire_adjust = match op {
+            DeltaOp::RetireUsers { users } if users.iter().all(|&u| u < inst.num_users()) => {
+                Some(user_cell_contributions(inst, &self.comp_mass, users))
             }
+            _ => None,
+        };
+        let effect = delta::apply(inst, op)?;
+        delta::refresh_comp_mass(&mut self.comp_mass, inst, &effect);
+        let adjust = match &effect {
+            DeltaEffect::UsersAdded { first, count } => {
+                let joined: Vec<usize> = (*first..first + count).collect();
+                Some(user_cell_contributions(inst, &self.comp_mass, &joined))
+            }
+            DeltaEffect::UsersRetired { .. } => retire_adjust,
+            _ => None,
+        };
+        if matches!(effect, DeltaEffect::UsersAdded { .. } | DeltaEffect::UsersRetired { .. }) {
+            self.engine_caches = None;
         }
-        let schedule =
-            run_selection(&self.inst, &mut engine, &mut self.table, self.k, &mut self.scratch);
-        let stats = *engine.stats();
+        Ok((effect, adjust))
+    }
+
+    /// An engine over `inst` built from the warm competing-mass table,
+    /// reusing the static caches when they are still valid.
+    fn warm_engine<'a>(&mut self, inst: &'a Instance) -> ScoringEngine<'a> {
+        // The score table may still be catching up with an applied op here;
+        // the competing-mass table never is.
+        debug_assert_eq!(
+            self.comp_mass.len(),
+            inst.num_users() * inst.num_intervals(),
+            "instance does not match the repairer's competing-mass table"
+        );
+        let comp = std::mem::take(&mut self.comp_mass);
+        match self.engine_caches.take() {
+            Some(caches) => ScoringEngine::from_warm_parts(inst, comp, caches, self.threads),
+            None => ScoringEngine::from_comp_mass(inst, comp, self.threads),
+        }
+    }
+
+    /// Debug builds catch a caller passing an instance other than the one
+    /// the caches describe: its shape must match theirs.
+    fn debug_check_instance(&self, inst: &Instance) {
+        debug_assert_eq!(
+            self.comp_mass.len(),
+            inst.num_users() * inst.num_intervals(),
+            "instance does not match the repairer's competing-mass table"
+        );
+        debug_assert_eq!(
+            self.table.len(),
+            inst.num_events() * inst.num_intervals(),
+            "instance does not match the repairer's score table"
+        );
+    }
+
+    /// Takes the engine's warm parts back for the next repair.
+    fn keep_warm_parts(&mut self, engine: ScoringEngine<'_>) {
         let (comp_mass, engine_caches) = engine.into_warm_parts();
         self.comp_mass = comp_mass;
         self.engine_caches = Some(engine_caches);
-        self.utility = total_utility(&self.inst, &schedule);
+    }
+
+    /// The repair cycle every entry point shares: `table_step` brings the
+    /// score table up to date on `engine` (returning the cells it rescored
+    /// eagerly), selection runs on the same engine, the engine's warm parts
+    /// are kept, and the report is recorded. `rescored` and `prior` carry
+    /// the work of maintenance engines that ran before this one.
+    fn repair(
+        &mut self,
+        inst: &Instance,
+        mut engine: ScoringEngine<'_>,
+        start: Instant,
+        rescored: usize,
+        prior: Stats,
+        table_step: impl FnOnce(&mut Vec<Option<TableEntry>>, &mut ScoringEngine<'_>) -> usize,
+    ) -> &RepairReport {
+        let rescored = rescored + table_step(&mut self.table, &mut engine);
+        let schedule = run_selection(inst, &mut engine, &mut self.table, self.k, &mut self.scratch);
+        let stats = *engine.stats() + prior;
+        self.keep_warm_parts(engine);
+        self.utility = total_utility(inst, &schedule);
         self.schedule = schedule;
         self.cumulative += stats;
         self.last = RepairReport {
@@ -469,13 +442,7 @@ impl StreamScheduler {
             schedule_len: self.schedule.len(),
             time_ms: start.elapsed().as_secs_f64() * 1e3,
         };
-        Ok(&self.last)
-    }
-
-    /// The live instance in its current (post-op) state.
-    #[inline]
-    pub fn instance(&self) -> &Instance {
-        &self.inst
+        &self.last
     }
 
     /// The current repaired schedule.
@@ -532,29 +499,21 @@ impl StreamScheduler {
     /// The state-layout version [`to_state`](Self::to_state) writes.
     pub const STATE_VERSION: u32 = 1;
 
-    /// Serializes the full warm state for a durable snapshot (see
-    /// [`StreamState`]). The selection scratch is excluded (pure capacity,
-    /// behavior-neutral) and the report's wall clock is zeroed, so the
-    /// state of a seeded session is deterministic byte for byte.
-    pub fn to_state(&self) -> StreamState {
-        let warm = match &self.engine_caches {
-            Some(caches) => caches.to_state(&self.comp_mass),
-            // The caches are materialized outside every method body; this
-            // arm only guards against serializing mid-construction state.
-            None => {
-                let engine =
-                    ScoringEngine::from_comp_mass(&self.inst, self.comp_mass.clone(), self.threads);
-                let (comp_mass, caches) = engine.into_warm_parts();
-                caches.to_state(&comp_mass)
-            }
-        };
+    /// Serializes the full warm state, together with the instance it
+    /// describes, for a durable snapshot (see [`StreamState`]). The
+    /// selection scratch is excluded (pure capacity, behavior-neutral) and
+    /// the report's wall clock is zeroed, so the state of a seeded session
+    /// is deterministic byte for byte.
+    pub fn to_state(&self, inst: &Instance) -> StreamState {
+        self.debug_check_instance(inst);
+        let caches = self.engine_caches.as_ref().expect("every repair keeps the static caches");
         StreamState {
             version: Self::STATE_VERSION,
-            inst: self.inst.clone(),
+            inst: inst.clone(),
             k: self.k,
             threads: self.threads.get(),
             bound_gate: self.bound_gate,
-            warm,
+            warm: caches.to_state(&self.comp_mass),
             table: self
                 .table
                 .iter()
@@ -568,18 +527,19 @@ impl StreamScheduler {
         }
     }
 
-    /// Rebuilds a warm scheduler from a persisted state, re-validating
-    /// everything checkable before trusting it: the layout version, the
-    /// instance's own invariants ([`Instance::validate`]), every cache
-    /// shape, and the schedule — which is **replayed** assignment by
-    /// assignment through the feasibility gate and required to reproduce
-    /// the stored bookkeeping (and the stored utility bits) exactly.
+    /// Rebuilds a warm scheduler, and the instance it repairs, from a
+    /// persisted state, re-validating everything checkable before trusting
+    /// it: the layout version, the instance's own invariants
+    /// ([`Instance::validate`]), every cache shape, and the schedule —
+    /// which is **replayed** assignment by assignment through the
+    /// feasibility gate and required to reproduce the stored bookkeeping
+    /// (and the stored utility bits) exactly.
     ///
     /// # Errors
     /// [`ServiceError::Corrupt`] naming the first failing check; content
     /// that passes answers subsequent requests bit-identically to the
     /// scheduler [`to_state`](Self::to_state) captured.
-    pub fn from_state(state: StreamState) -> Result<Self, ServiceError> {
+    pub fn from_state(state: StreamState) -> Result<(Instance, Self), ServiceError> {
         let corrupt = |what: String| ServiceError::corrupt(format!("stream state: {what}"));
         if state.version != Self::STATE_VERSION {
             return Err(corrupt(format!(
@@ -615,7 +575,7 @@ impl StreamScheduler {
         if total_utility(&state.inst, &state.schedule).to_bits() != state.utility.to_bits() {
             return Err(corrupt("stored utility does not match the schedule".into()));
         }
-        Ok(Self {
+        let stream = Self {
             k: state.k,
             threads: Threads::new(state.threads),
             comp_mass,
@@ -632,9 +592,53 @@ impl StreamScheduler {
             scratch: Scratch::new(),
             engine_caches: Some(caches),
             bound_gate: state.bound_gate,
-            inst: state.inst,
-        })
+        };
+        Ok((state.inst, stream))
     }
+}
+
+/// Reconciles the score table's empty-schedule validity mask with the
+/// instance's current constraints: cells the rules open up are scored (or,
+/// gated, seeded with their bound), cells they close are dropped. Returns
+/// the number of cells scored eagerly.
+fn reconcile_validity(
+    table: &mut [Option<TableEntry>],
+    engine: &mut ScoringEngine<'_>,
+    gate: bool,
+) -> usize {
+    let inst = engine.instance();
+    let num_e = inst.num_events();
+    let probe = Schedule::new(inst);
+    let mut rescored = 0;
+    for t in 0..inst.num_intervals() {
+        let interval = IntervalId::new(t);
+        for e in 0..num_e {
+            let event = EventId::new(e);
+            let idx = t * num_e + e;
+            let valid = probe.is_valid_assignment(inst, event, interval);
+            match (&table[idx], valid) {
+                (None, true) => {
+                    engine.stats_mut().record_examined(1);
+                    table[idx] = if gate {
+                        engine.stats_mut().record_bound_skip();
+                        Some(TableEntry {
+                            score: engine.score_bound(event, interval),
+                            exact: false,
+                        })
+                    } else {
+                        rescored += 1;
+                        Some(TableEntry {
+                            score: engine.assignment_score(event, interval),
+                            exact: true,
+                        })
+                    };
+                }
+                (Some(_), false) => table[idx] = None,
+                _ => {}
+            }
+        }
+    }
+    rescored
 }
 
 /// Scores the full empty-schedule table. At `threads > 1` the rows fan out
@@ -1050,8 +1054,8 @@ mod tests {
     use ses_core::model::{running_example, Event};
     use ses_core::LocationId;
 
-    fn assert_matches_recompute(stream: &StreamScheduler) {
-        let inc = Inc.run(stream.instance(), stream.k());
+    fn assert_matches_recompute(inst: &Instance, stream: &StreamScheduler) {
+        let inc = Inc.run(inst, stream.k());
         assert_eq!(
             stream.schedule().assignments(),
             inc.schedule.assignments(),
@@ -1064,15 +1068,15 @@ mod tests {
     fn cold_build_matches_inc() {
         let inst = running_example();
         for k in 0..=4 {
-            let stream = StreamScheduler::new(inst.clone(), k, Threads::sequential());
-            assert_matches_recompute(&stream);
+            let stream = StreamScheduler::new(&inst, k, Threads::sequential());
+            assert_matches_recompute(&inst, &stream);
         }
     }
 
     #[test]
     fn every_op_kind_repairs_to_recompute() {
-        let inst = running_example();
-        let mut stream = StreamScheduler::new(inst, 3, Threads::sequential());
+        let mut inst = running_example();
+        let mut stream = StreamScheduler::new(&inst, 3, Threads::sequential());
         let ops = vec![
             DeltaOp::AddEvent {
                 event: Event::new(LocationId::new(3), 1.0).with_label("e5"),
@@ -1091,9 +1095,9 @@ mod tests {
             DeltaOp::RemoveEvent { event: EventId::new(1) },
         ];
         for op in &ops {
-            stream.apply(op).unwrap();
-            assert_matches_recompute(&stream);
-            assert!(stream.schedule().verify_feasible(stream.instance()).is_ok());
+            stream.apply(&mut inst, op).unwrap();
+            assert_matches_recompute(&inst, &stream);
+            assert!(stream.schedule().verify_feasible(&inst).is_ok());
         }
         assert_eq!(stream.ops_applied(), 5);
     }
@@ -1128,9 +1132,9 @@ mod tests {
     /// warm start. Every op kind is exercised.
     #[test]
     fn repair_examines_less_than_recompute() {
-        let inst = mid_instance();
+        let mut inst = mid_instance();
         let k = 8;
-        let mut stream = StreamScheduler::new(inst, k, Threads::sequential());
+        let mut stream = StreamScheduler::new(&inst, k, Threads::sequential());
         let ops = vec![
             DeltaOp::ShiftInterest { event: EventId::new(1), user: 1, interest: 0.9 },
             DeltaOp::AddEvent {
@@ -1152,15 +1156,15 @@ mod tests {
             DeltaOp::RemoveEvent { event: EventId::new(4) },
         ];
         for op in &ops {
-            let repaired = stream.apply(op).unwrap().stats.assignments_examined;
-            let cold = StreamScheduler::new(stream.instance().clone(), k, Threads::sequential());
+            let repaired = stream.apply(&mut inst, op).unwrap().stats.assignments_examined;
+            let cold = StreamScheduler::new(&inst, k, Threads::sequential());
             let rebuilt = cold.last_repair().stats.assignments_examined;
             assert!(
                 repaired < rebuilt,
                 "{}: repair examined {repaired}, rebuild {rebuilt}",
                 op.kind()
             );
-            assert_matches_recompute(&stream);
+            assert_matches_recompute(&inst, &stream);
         }
     }
 
@@ -1168,39 +1172,42 @@ mod tests {
     /// after user churn rescoring nothing still has exact cells to lean on.
     #[test]
     fn bounds_converge_back_to_exact() {
-        let inst = running_example();
-        let mut stream = StreamScheduler::new(inst, 2, Threads::sequential());
+        let mut inst = running_example();
+        let mut stream = StreamScheduler::new(&inst, 2, Threads::sequential());
         stream
-            .apply(&DeltaOp::AddUsers {
-                users: vec![ses_core::NewUser {
-                    event_interest: vec![0.8, 0.2, 0.1, 0.3],
-                    competing_interest: vec![0.2, 0.5],
-                    activity: vec![0.6, 0.6],
-                    weight: None,
-                }],
-            })
+            .apply(
+                &mut inst,
+                &DeltaOp::AddUsers {
+                    users: vec![ses_core::NewUser {
+                        event_interest: vec![0.8, 0.2, 0.1, 0.3],
+                        competing_interest: vec![0.2, 0.5],
+                        activity: vec![0.6, 0.6],
+                        weight: None,
+                    }],
+                },
+            )
             .unwrap();
         // The run refreshed at least the winning candidates on virgin spans.
         let exact_cells = stream.table.iter().flatten().filter(|c| c.exact).count();
         assert!(exact_cells > 0, "write-back must restore some exact cells");
-        assert_matches_recompute(&stream);
+        assert_matches_recompute(&inst, &stream);
     }
 
     /// Thread count must never change a repair's result — schedule,
     /// utility bits, or Stats.
     #[test]
     fn repairs_bit_identical_across_threads() {
-        let inst = running_example();
-        let mut s1 = StreamScheduler::new(inst.clone(), 3, Threads::sequential());
-        let mut s4 = StreamScheduler::new(inst, 3, Threads::new(4));
+        let (mut i1, mut i4) = (running_example(), running_example());
+        let mut s1 = StreamScheduler::new(&i1, 3, Threads::sequential());
+        let mut s4 = StreamScheduler::new(&i4, 3, Threads::new(4));
         assert_eq!(s1.last_repair().stats, s4.last_repair().stats);
         let ops = vec![
             DeltaOp::ShiftInterest { event: EventId::new(3), user: 0, interest: 0.2 },
             DeltaOp::RemoveEvent { event: EventId::new(0) },
         ];
         for op in &ops {
-            let r1 = s1.apply(op).unwrap().clone();
-            let r4 = s4.apply(op).unwrap().clone();
+            let r1 = s1.apply(&mut i1, op).unwrap().clone();
+            let r4 = s4.apply(&mut i4, op).unwrap().clone();
             assert_eq!(r1.stats, r4.stats);
             assert_eq!(s1.schedule().assignments(), s4.schedule().assignments());
             assert_eq!(s1.utility().to_bits(), s4.utility().to_bits());
@@ -1212,8 +1219,8 @@ mod tests {
     /// feasible under the live rules.
     #[test]
     fn constraint_ops_repair_to_recompute() {
-        let inst = mid_instance();
-        let mut stream = StreamScheduler::new(inst, 6, Threads::sequential());
+        let mut inst = mid_instance();
+        let mut stream = StreamScheduler::new(&inst, 6, Threads::sequential());
         let ops = [
             DeltaOp::AddConflict { a: EventId::new(0), b: EventId::new(5) },
             DeltaOp::AddPrecedence { before: EventId::new(2), after: EventId::new(9) },
@@ -1222,7 +1229,7 @@ mod tests {
             DeltaOp::RemoveConflict { a: EventId::new(0), b: EventId::new(5) },
         ];
         for (i, op) in ops.iter().enumerate() {
-            let result = stream.apply(op);
+            let result = stream.apply(&mut inst, op);
             if i == 4 {
                 // The conflict died with the removed event; retracting it
                 // again must fail atomically.
@@ -1230,10 +1237,10 @@ mod tests {
                 continue;
             }
             result.unwrap();
-            assert_matches_recompute(&stream);
-            assert!(stream.schedule().verify_feasible(stream.instance()).is_ok());
+            assert_matches_recompute(&inst, &stream);
+            assert!(stream.schedule().verify_feasible(&inst).is_ok());
         }
-        assert!(stream.instance().constraints.has_precedence(EventId::new(2), EventId::new(8)));
+        assert!(inst.constraints.has_precedence(EventId::new(2), EventId::new(8)));
     }
 
     /// The warm `set_constraints` path must land on the same schedule,
@@ -1243,19 +1250,20 @@ mod tests {
     fn set_constraints_matches_cold_build() {
         use ses_core::constraints::ConstraintSet;
         let inst = mid_instance();
-        let mut stream = StreamScheduler::new(inst.clone(), 6, Threads::sequential());
+        let mut live = inst.clone();
+        let mut stream = StreamScheduler::new(&live, 6, Threads::sequential());
 
         let mut cs = ConstraintSet::new();
         cs.set_venue_capacity(LocationId::new(1), 1);
         cs.add_conflict(EventId::new(3), EventId::new(10));
         cs.add_precedence(EventId::new(0), EventId::new(1));
-        stream.set_constraints(cs.clone()).unwrap();
-        assert_matches_recompute(&stream);
-        assert!(stream.schedule().verify_feasible(stream.instance()).is_ok());
+        stream.set_constraints(&mut live, cs.clone()).unwrap();
+        assert_matches_recompute(&live, &stream);
+        assert!(stream.schedule().verify_feasible(&live).is_ok());
 
         // Relaxing back to empty restores the unconstrained result.
-        stream.set_constraints(ConstraintSet::new()).unwrap();
-        let cold = StreamScheduler::new(inst, 6, Threads::sequential());
+        stream.set_constraints(&mut live, ConstraintSet::new()).unwrap();
+        let cold = StreamScheduler::new(&inst, 6, Threads::sequential());
         assert_eq!(stream.schedule().assignments(), cold.schedule().assignments());
         assert_eq!(stream.utility().to_bits(), cold.utility().to_bits());
 
@@ -1263,7 +1271,7 @@ mod tests {
         let before = stream.schedule().assignments().to_vec();
         let mut bad = ConstraintSet::new();
         bad.add_conflict(EventId::new(0), EventId::new(99));
-        assert!(stream.set_constraints(bad).is_err());
+        assert!(stream.set_constraints(&mut live, bad).is_err());
         assert_eq!(stream.schedule().assignments(), &before[..]);
     }
 
@@ -1271,19 +1279,25 @@ mod tests {
     /// write-back and the repair equivalence honest.
     #[test]
     fn duration_events_supported() {
-        let inst = running_example();
-        let mut stream = StreamScheduler::new(inst, 3, Threads::sequential());
+        let mut inst = running_example();
+        let mut stream = StreamScheduler::new(&inst, 3, Threads::sequential());
         stream
-            .apply(&DeltaOp::AddEvent {
-                event: Event::new(LocationId::new(4), 1.0).with_duration(2),
-                interest: vec![0.9, 0.9],
-            })
+            .apply(
+                &mut inst,
+                &DeltaOp::AddEvent {
+                    event: Event::new(LocationId::new(4), 1.0).with_duration(2),
+                    interest: vec![0.9, 0.9],
+                },
+            )
             .unwrap();
-        assert_matches_recompute(&stream);
+        assert_matches_recompute(&inst, &stream);
         stream
-            .apply(&DeltaOp::ShiftInterest { event: EventId::new(4), user: 1, interest: 0.1 })
+            .apply(
+                &mut inst,
+                &DeltaOp::ShiftInterest { event: EventId::new(4), user: 1, interest: 0.1 },
+            )
             .unwrap();
-        assert_matches_recompute(&stream);
+        assert_matches_recompute(&inst, &stream);
     }
 
     /// A batched repair must land on exactly the op-at-a-time result:
@@ -1301,17 +1315,18 @@ mod tests {
             DeltaOp::RetireUsers { users: vec![0, 17] },
             DeltaOp::AddConflict { a: EventId::new(0), b: EventId::new(5) },
         ];
-        let mut batched = StreamScheduler::new(inst.clone(), 8, Threads::sequential());
-        let mut serial = StreamScheduler::new(inst, 8, Threads::sequential());
-        batched.apply_batch(&ops).unwrap();
+        let (mut batched_inst, mut serial_inst) = (inst.clone(), inst);
+        let mut batched = StreamScheduler::new(&batched_inst, 8, Threads::sequential());
+        let mut serial = StreamScheduler::new(&serial_inst, 8, Threads::sequential());
+        batched.apply_batch(&mut batched_inst, &ops).unwrap();
         for op in &ops {
-            serial.apply(op).unwrap();
+            serial.apply(&mut serial_inst, op).unwrap();
         }
-        assert_eq!(batched.instance(), serial.instance());
+        assert_eq!(batched_inst, serial_inst);
         assert_eq!(batched.schedule().assignments(), serial.schedule().assignments());
         assert_eq!(batched.utility().to_bits(), serial.utility().to_bits());
         assert_eq!(batched.ops_applied(), 5);
-        assert_matches_recompute(&batched);
+        assert_matches_recompute(&batched_inst, &batched);
     }
 
     /// The windowed entry point: a redundant window coalesces down and the
@@ -1319,7 +1334,8 @@ mod tests {
     #[test]
     fn repair_batch_coalesces_and_matches_recompute() {
         let inst = mid_instance();
-        let mut stream = StreamScheduler::new(inst.clone(), 8, Threads::sequential());
+        let mut live = inst.clone();
+        let mut stream = StreamScheduler::new(&live, 8, Threads::sequential());
         let window = vec![
             DeltaOp::ShiftInterest { event: EventId::new(3), user: 2, interest: 0.8 },
             DeltaOp::ShiftInterest { event: EventId::new(3), user: 2, interest: 0.3 },
@@ -1330,15 +1346,15 @@ mod tests {
             DeltaOp::RemoveEvent { event: EventId::new(16) }, // cancels the add
             DeltaOp::ShiftInterest { event: EventId::new(7), user: 5, interest: 0.55 },
         ];
-        stream.repair_batch(&window).unwrap();
+        stream.repair_batch(&mut live, &window).unwrap();
         // Three redundant ops collapsed: only the two net drifts applied.
         assert_eq!(stream.ops_applied(), 2);
-        assert_eq!(stream.instance(), &delta::materialize(&inst, &window).unwrap());
-        assert_matches_recompute(&stream);
+        assert_eq!(live, delta::materialize(&inst, &window).unwrap());
+        assert_matches_recompute(&live, &stream);
 
         // An empty window is one (cheap) repair that changes nothing.
         let before = stream.schedule().assignments().to_vec();
-        stream.repair_batch(&[]).unwrap();
+        stream.repair_batch(&mut live, &[]).unwrap();
         assert_eq!(stream.schedule().assignments(), &before[..]);
         assert_eq!(stream.ops_applied(), 2);
     }
@@ -1348,36 +1364,36 @@ mod tests {
     #[test]
     fn apply_batch_failure_keeps_prefix_consistent() {
         let inst = mid_instance();
-        let mut stream = StreamScheduler::new(inst.clone(), 8, Threads::sequential());
+        let mut live = inst.clone();
+        let mut stream = StreamScheduler::new(&live, 8, Threads::sequential());
         let ops = vec![
             DeltaOp::ShiftInterest { event: EventId::new(2), user: 3, interest: 0.9 },
             DeltaOp::RemoveEvent { event: EventId::new(99) }, // rejected
             DeltaOp::ShiftInterest { event: EventId::new(4), user: 1, interest: 0.1 },
         ];
-        let err = stream.apply_batch(&ops).unwrap_err();
+        let err = stream.apply_batch(&mut live, &ops).unwrap_err();
         assert_eq!(err.op_index, 1);
         assert_eq!(stream.ops_applied(), 1);
-        assert_eq!(stream.instance(), &delta::materialize(&inst, &ops[..1]).unwrap());
-        assert_matches_recompute(&stream);
+        assert_eq!(live, delta::materialize(&inst, &ops[..1]).unwrap());
+        assert_matches_recompute(&live, &stream);
 
         // A rejected window applies nothing at all (window-atomic).
-        let before = stream.instance().clone();
-        assert!(stream.repair_batch(&ops).is_err());
-        assert_eq!(stream.instance(), &before);
+        let before = live.clone();
+        assert!(stream.repair_batch(&mut live, &ops).is_err());
+        assert_eq!(live, before);
         assert_eq!(stream.ops_applied(), 1);
     }
 
     #[test]
     fn invalid_op_leaves_state_untouched() {
-        let inst = running_example();
-        let mut stream = StreamScheduler::new(inst, 3, Threads::sequential());
+        let mut inst = running_example();
+        let mut stream = StreamScheduler::new(&inst, 3, Threads::sequential());
         let before_sched = stream.schedule().clone();
         let before_utility = stream.utility();
-        let err = stream.apply(&DeltaOp::ShiftInterest {
-            event: EventId::new(9),
-            user: 0,
-            interest: 0.5,
-        });
+        let err = stream.apply(
+            &mut inst,
+            &DeltaOp::ShiftInterest { event: EventId::new(9), user: 0, interest: 0.5 },
+        );
         assert!(err.is_err());
         assert_eq!(stream.schedule(), &before_sched);
         assert_eq!(stream.utility(), before_utility);

@@ -181,6 +181,56 @@ fn session_state_roundtrips_at_every_transcript_point() {
     }
 }
 
+/// The two committed session-state payloads: a cold running-example
+/// session after one `Schedule`, and a warm one after `Repair` k=3 and one
+/// `ApplyOps`. Each pairs the golden file with the requests that produce it.
+fn golden_sessions() -> [(&'static str, Vec<Request>); 2] {
+    let schedule = Request::Schedule {
+        algorithm: "INC".into(),
+        k: 3,
+        threads: None,
+        gate: false,
+        profile: false,
+        constraints: None,
+    };
+    let repair = Request::Repair { k: 3, threads: None, gate: false };
+    let shift = Request::ApplyOps {
+        ops: vec![DeltaOp::ShiftInterest { event: EventId::new(0), user: 1, interest: 0.9 }],
+        window: None,
+    };
+    [("session_state_cold.json", vec![schedule]), ("session_state_warm.json", vec![repair, shift])]
+}
+
+fn golden_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(name)
+}
+
+/// The snapshot payload is pinned byte for byte: the live session writes
+/// exactly the committed state, and a session loaded from the committed
+/// state answers `Snapshot` and `Repair` exactly as the live one does.
+#[test]
+fn session_state_matches_the_committed_payloads() {
+    for (name, reqs) in golden_sessions() {
+        let mut live = SesService::new(ses_core::model::running_example()).with_threads(T1());
+        for r in &reqs {
+            live.handle(r);
+        }
+        let golden = fs::read_to_string(golden_path(name)).unwrap();
+        let written = serde_json::to_string(&live.to_state()).unwrap();
+        assert_eq!(written, golden.trim_end(), "{name}: session state bytes drifted");
+
+        let mut loaded = SesService::from_state(serde_json::from_str(&golden).unwrap(), T1())
+            .unwrap_or_else(|e| panic!("{name}: committed state must load: {e}"));
+        for probe in [Request::Snapshot, Request::Repair { k: 3, threads: None, gate: false }] {
+            assert_eq!(
+                wire::encode_response(&loaded.handle(&probe)),
+                wire::encode_response(&live.handle(&probe)),
+                "{name}: loaded session diverged on {probe:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn session_state_rejects_tampering() {
     let mut svc = SesService::new(base_instance()).with_threads(T1());

@@ -4,8 +4,8 @@
 //!
 //! A thin client of [`SesService`]: the lineup resolves through the
 //! service's [`SchedulerRegistry`] (no local name table) and every run
-//! reuses the service's warm per-scheduler scratch pools. Results are
-//! bit-identical to direct `run_configured` calls.
+//! reuses the service's warm scratch pool. Results are bit-identical to
+//! direct `run_configured` calls.
 //!
 //! [`SchedulerRegistry`]: ses_algorithms::SchedulerRegistry
 
@@ -56,7 +56,7 @@ pub fn exec(args: &Args) -> Result<(), ServiceError> {
         );
     }
     // One service for the whole lineup: the registry resolves names and the
-    // per-scheduler scratch pools make repeat runs allocation-free.
+    // shared scratch pool makes repeat runs allocation-free.
     let mut service = SesService::new(inst).with_threads(threads);
 
     // Canonical `&'static str` names outlive the registry borrow, so the

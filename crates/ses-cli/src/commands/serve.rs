@@ -40,12 +40,10 @@ use crate::args::Args;
 use crate::commands::{
     apply_constraints_flag, dataset_from_flags, input_instance_flag, storage_from_flags,
 };
-use ses_algorithms::service::net::{self, read_capped_line, LineRead, DEFAULT_SESSION};
-use ses_algorithms::service::wire;
-use ses_algorithms::{DurableService, NetConfig, Response, SesService, SessionBackend};
+use ses_algorithms::service::net::{self, DEFAULT_SESSION};
+use ses_algorithms::{DurableService, NetConfig, SesService, SessionBackend};
 use ses_core::error::{ServiceError, SERVICE_PROTOCOL_VERSION};
 use ses_core::parallel::Threads;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -131,7 +129,7 @@ pub fn exec(args: &Args) -> Result<(), ServiceError> {
         return Ok(());
     }
 
-    let session = match args.opt_flag("state-dir") {
+    let mut session = match args.opt_flag("state-dir") {
         None => SessionBackend::Plain(SesService::new(inst).with_threads(threads)),
         Some(dir) => {
             let snapshot_every = args.num_flag("snapshot-ops", DEFAULT_SNAPSHOT_OPS)?;
@@ -162,7 +160,6 @@ pub fn exec(args: &Args) -> Result<(), ServiceError> {
             SessionBackend::Durable(svc)
         }
     };
-    let mut session = session;
     eprintln!(
         "# ses serve: protocol v{SERVICE_PROTOCOL_VERSION}, dataset={} |U|={users} |E|={events} \
          |T|={intervals} seed={seed} threads={threads}{} — one JSON request per line, EOF ends",
@@ -173,58 +170,24 @@ pub fn exec(args: &Args) -> Result<(), ServiceError> {
         },
     );
 
-    let mut stdin = std::io::stdin().lock();
-    let mut stdout = std::io::stdout().lock();
     // Counts every answered line — including ones that failed wire
     // decoding, which the session's own counters do not see.
-    let mut answered = 0u64;
-    loop {
-        let line = match read_capped_line(&mut stdin, max_line_bytes) {
-            Ok(LineRead::Eof) => break,
-            Ok(LineRead::Line(line)) => line,
-            Ok(LineRead::Oversized) => {
-                // Guarded input: answer in-protocol and keep serving.
-                let err = ServiceError::protocol(format!(
-                    "request line exceeds --max-line-bytes ({max_line_bytes})"
-                ));
-                let resp = wire::encode_response(&Response::Error {
-                    code: err.code().to_string(),
-                    message: err.to_string(),
-                });
-                writeln!(stdout, "{resp}")?;
-                stdout.flush()?;
-                answered += 1;
-                continue;
-            }
-            Err(e) => {
-                // A failed read must not abort mid-session with no
-                // response: answer with one io-coded Error line, note it
-                // on stderr, and wind down as cleanly as EOF. (Client
-                // scripts keyed on response count stay in sync — every
-                // submitted line up to the bad byte has been answered.)
-                let err = ServiceError::from(e);
-                let resp = wire::encode_response(&Response::Error {
-                    code: err.code().to_string(),
-                    message: err.to_string(),
-                });
-                writeln!(stdout, "{resp}")?;
-                stdout.flush()?;
-                answered += 1;
-                eprintln!(
-                    "# ses serve [session:{DEFAULT_SESSION}]: stdin read failed ({err}); \
-                     ending session"
-                );
-                break;
-            }
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let response = session.handle_line(trimmed);
-        writeln!(stdout, "{response}")?;
-        stdout.flush()?;
-        answered += 1;
+    let (answered, read_failure) = net::serve_lines(
+        std::io::stdin().lock(),
+        &mut std::io::stdout().lock(),
+        max_line_bytes,
+        None,
+        |line| session.handle_line(line),
+    )?;
+    if let Some(err) = read_failure {
+        // A failed read must not abort mid-session with no response: the
+        // loop answered it with one io-coded Error line, and the session
+        // winds down as cleanly as EOF. (Client scripts keyed on response
+        // count stay in sync — every submitted line up to the bad byte has
+        // been answered.)
+        eprintln!(
+            "# ses serve [session:{DEFAULT_SESSION}]: stdin read failed ({err}); ending session"
+        );
     }
     eprintln!(
         "# ses serve [session:{DEFAULT_SESSION}]: EOF after {answered} request lines ({} ops \

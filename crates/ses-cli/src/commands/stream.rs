@@ -150,7 +150,7 @@ pub fn exec(args: &Args) -> Result<(), ServiceError> {
             })?
             .pop()
             .expect("one repair report per applied op");
-        let cold = StreamScheduler::new(mat.clone(), k, threads);
+        let cold = StreamScheduler::new(&mat, k, threads);
         repair += rep.stats;
         repair_ms += rep.time_ms;
         rebuild += cold.last_repair().stats;

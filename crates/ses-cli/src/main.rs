@@ -167,7 +167,7 @@ gate, so constrained runs stay bit-identical across thread counts.
 `serve` turns the process into a long-lived session: one JSON request
 per stdin line (protocol v1: {\"v\":1,\"req\":{...}}), one JSON response
 per stdout line. The session keeps warm state across requests —
-per-scheduler scratch pools and the incremental repairer's caches — and
+one shared scratch pool and the incremental repairer's caches — and
 answers Schedule / ApplyOps / Repair / Query / Snapshot / Reset.
 Responses carry no wall-clock fields, so a seeded request script always
 produces a byte-identical response log (see scripts/serve-smoke.jsonl).

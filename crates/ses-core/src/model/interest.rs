@@ -469,7 +469,7 @@ impl Iterator for ColumnIter<'_> {
 impl ExactSizeIterator for ColumnIter<'_> {}
 
 /// Dense item-major interest storage. `data[item · num_users + user]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DenseInterest {
     num_items: usize,
     num_users: usize,
@@ -478,6 +478,40 @@ pub struct DenseInterest {
     /// the stored column (every mutation recomputes the affected columns, it
     /// never adjusts incrementally, so the cache cannot drift).
     col_sums: Vec<f64>,
+}
+
+/// The serialized layout of [`DenseInterest`].
+#[derive(Deserialize)]
+struct DenseInterestRepr {
+    num_items: usize,
+    num_users: usize,
+    data: Vec<f64>,
+    #[allow(dead_code)]
+    col_sums: Vec<f64>,
+}
+
+// Loading goes through `from_raw`, so a state written by a build that still
+// stored `-0.0` comes back with unsigned zeros, and the column sums are
+// re-derived from the data (bitwise what such a build stored: a `±0.0`
+// entry adds nothing to a sum that starts at `+0.0`).
+impl Deserialize for DenseInterest {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let r = DenseInterestRepr::from_value(v)?;
+        Self::from_raw(r.num_items, r.num_users, r.data).map_err(serde::Error::custom)
+    }
+}
+
+/// Dense storage writes a `-0.0` as `+0.0`, as sparse and compressed
+/// storage (which drop zeros) effectively do. With no signed zero stored,
+/// a cached column sum is bitwise the per-user fold of `value()` reads on
+/// every layout — an all-`-0.0` column would otherwise fold to `-0.0`.
+#[inline]
+fn unsigned_zero(v: f64) -> f64 {
+    if v == 0.0 {
+        0.0
+    } else {
+        v
+    }
 }
 
 /// The one definition of a cached column sum: the left-to-right sum of the
@@ -538,7 +572,8 @@ impl DenseInterest {
         Ok(Self::with_sums(num_items, num_users, data))
     }
 
-    fn with_sums(num_items: usize, num_users: usize, data: Vec<f64>) -> Self {
+    fn with_sums(num_items: usize, num_users: usize, mut data: Vec<f64>) -> Self {
+        data.iter_mut().for_each(|v| *v = unsigned_zero(*v));
         let col_sums =
             (0..num_items).map(|i| stored_sum(&data[i * num_users..(i + 1) * num_users])).collect();
         Self { num_items, num_users, data, col_sums }
@@ -580,14 +615,14 @@ impl DenseInterest {
     #[inline]
     pub fn set(&mut self, item: usize, user: usize, value: f64) {
         assert!(user < self.num_users, "user {user} out of range");
-        self.data[item * self.num_users + user] = value;
+        self.data[item * self.num_users + user] = unsigned_zero(value);
         self.refresh_sum(item);
     }
 
     /// Appends one item column. See [`InterestMatrix::push_item`].
     pub fn push_item(&mut self, column: &[f64]) {
         assert_eq!(column.len(), self.num_users, "column length must equal user count");
-        self.data.extend_from_slice(column);
+        self.data.extend(column.iter().map(|&v| unsigned_zero(v)));
         self.col_sums.push(stored_sum(column));
         self.num_items += 1;
     }
@@ -1197,6 +1232,23 @@ mod tests {
         s.set_value(0, 0, 0.0);
         assert_eq!(tainted, s);
         assert_eq!(m, InterestMatrix::from(s));
+    }
+
+    /// Dense data serialized with a `-0.0` (as builds that kept signed
+    /// zeros wrote it) loads with unsigned zeros and re-derived sums; a
+    /// data length that does not fit the shape is an error, not a panic.
+    #[test]
+    fn dense_load_unsigns_zeros() {
+        let json =
+            r#"{"num_items":2,"num_users":2,"data":[-0.0,-0.0,0.5,-0.0],"col_sums":[0.0,0.5]}"#;
+        let d: DenseInterest = serde_json::from_str(json).unwrap();
+        let m = InterestMatrix::from(d);
+        assert_eq!(m.value(0, 0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(m.value(1, 1).to_bits(), 0.0f64.to_bits());
+        assert_eq!(m.column_sum(0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(m.column_sum(1).to_bits(), 0.5f64.to_bits());
+        let short = r#"{"num_items":2,"num_users":2,"data":[0.5],"col_sums":[0.5,0.0]}"#;
+        assert!(serde_json::from_str::<DenseInterest>(short).is_err());
     }
 
     #[test]

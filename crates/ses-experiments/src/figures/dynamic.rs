@@ -54,11 +54,12 @@ pub fn run(config: &ExperimentConfig) -> FigureReport {
         let threads = config.scheduler_threads();
 
         // Incremental: one warm scheduler repairs across the whole stream.
-        let mut stream = StreamScheduler::new(base.clone(), k, threads);
+        let mut live = base.clone();
+        let mut stream = StreamScheduler::new(&live, k, threads);
         let mut repair = Stats::new();
         let mut repair_ms = 0.0;
         for op in &stream_ops {
-            let rep = stream.apply(op).expect("generated ops are valid");
+            let rep = stream.apply(&mut live, op).expect("generated ops are valid");
             repair += rep.stats;
             repair_ms += rep.time_ms;
         }
@@ -70,7 +71,7 @@ pub fn run(config: &ExperimentConfig) -> FigureReport {
         let mut rebuild_utility = f64::NAN;
         for op in &stream_ops {
             delta::apply(&mut mat, op).expect("generated ops are valid");
-            let cold = StreamScheduler::new(mat.clone(), k, threads);
+            let cold = StreamScheduler::new(&mat, k, threads);
             rebuild += cold.last_repair().stats;
             rebuild_ms += cold.last_repair().time_ms;
             rebuild_utility = cold.utility();

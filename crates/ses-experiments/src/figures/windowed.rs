@@ -62,28 +62,32 @@ pub fn run(config: &ExperimentConfig) -> FigureReport {
         let threads = config.scheduler_threads();
 
         // Windowed: one coalesced batch per window flush.
-        let mut windowed = StreamScheduler::new(base.clone(), k, threads);
+        let mut windowed_inst = base.clone();
+        let mut windowed = StreamScheduler::new(&windowed_inst, k, threads);
         let mut batched = Stats::new();
         let mut batched_ms = 0.0;
         for chunk in feed.chunks(window) {
-            let rep = windowed.repair_batch(chunk).expect("generated windows are valid");
+            let rep = windowed
+                .repair_batch(&mut windowed_inst, chunk)
+                .expect("generated windows are valid");
             batched += rep.stats;
             batched_ms += rep.time_ms;
         }
 
         // Op-at-a-time: the same feed through the per-op repair path.
-        let mut serial = StreamScheduler::new(base, k, threads);
+        let mut serial_inst = base;
+        let mut serial = StreamScheduler::new(&serial_inst, k, threads);
         let mut per_op = Stats::new();
         let mut per_op_ms = 0.0;
         for op in &feed {
-            let rep = serial.apply(op).expect("generated ops are valid");
+            let rep = serial.apply(&mut serial_inst, op).expect("generated ops are valid");
             per_op += rep.stats;
             per_op_ms += rep.time_ms;
         }
         // Bit-identity is the subsystem's core guarantee — enforce it in
         // real (release) experiment runs, not just in tests.
         assert!(
-            windowed.instance() == serial.instance(),
+            windowed_inst == serial_inst,
             "window {window}: coalesced ingestion diverged from op-at-a-time"
         );
         assert_eq!(
@@ -99,9 +103,9 @@ pub fn run(config: &ExperimentConfig) -> FigureReport {
             x_label: "window".into(),
             x: window as f64,
             k,
-            num_events: serial.instance().num_events(),
-            num_intervals: serial.instance().num_intervals(),
-            num_users: serial.instance().num_users(),
+            num_events: serial_inst.num_events(),
+            num_intervals: serial_inst.num_intervals(),
+            num_users: serial_inst.num_users(),
             utility,
             computations: stats.user_ops,
             examined: stats.assignments_examined,

@@ -145,7 +145,7 @@ pub fn run_lineup(
 /// parallel sweeps to pin each row to one thread).
 ///
 /// The lineup is a thin client of the session service: one [`SesService`]
-/// per call owns the warm scratch pools, so the schedulers after the first
+/// per call owns the warm scratch pool, so the schedulers after the first
 /// run allocation-free. Records are bit-identical to direct
 /// `run_configured` calls (the service contract, enforced by
 /// `tests/service_equivalence.rs`). The service owns its instance, so each

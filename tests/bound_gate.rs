@@ -134,15 +134,16 @@ fn stream_gate_is_repair_neutral() {
     let params =
         OpStreamParams::default().with_ops(60).with_churn(0.5).with_user_churn(0.4).with_seed(11);
     let stream_ops = ops::generate(&base, &params);
-    let mut plain = StreamScheduler::new(base.clone(), 6, Threads::sequential());
+    let (mut plain_inst, mut gated_inst) = (base.clone(), base.clone());
+    let mut plain = StreamScheduler::new(&plain_inst, 6, Threads::sequential());
     let mut gated =
-        StreamScheduler::new(base.clone(), 6, Threads::sequential()).with_bound_gate(true);
+        StreamScheduler::new(&gated_inst, 6, Threads::sequential()).with_bound_gate(true);
     let mut mat = base;
     let mut skips = 0u64;
     for (i, op) in stream_ops.iter().enumerate() {
         delta::apply(&mut mat, op).unwrap();
-        let rp = plain.apply(op).unwrap().clone();
-        let rg = gated.apply(op).unwrap().clone();
+        let rp = plain.apply(&mut plain_inst, op).unwrap().clone();
+        let rg = gated.apply(&mut gated_inst, op).unwrap().clone();
         assert_eq!(
             plain.schedule().assignments(),
             gated.schedule().assignments(),

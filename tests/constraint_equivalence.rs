@@ -175,7 +175,7 @@ fn all_schedulers_feasible_on_every_constrained_family() {
             }
             // The tenth generator: the warm stream repairer.
             for &n in &THREAD_COUNTS {
-                let stream = StreamScheduler::new(inst.clone(), 8, Threads::new(n));
+                let stream = StreamScheduler::new(&inst, 8, Threads::new(n));
                 validate_independently(&inst, stream.schedule(), &format!("{label}/stream"));
             }
         }
@@ -250,8 +250,8 @@ fn empty_constraint_set_pins_bit_identical_output() {
         assert_eq!(a.stats, b.stats, "{}: empty set changed stats", kind.name());
     }
 
-    let a = StreamScheduler::new(free.clone(), 4, Threads::sequential());
-    let b = StreamScheduler::new(pinned, 4, Threads::sequential());
+    let a = StreamScheduler::new(&free, 4, Threads::sequential());
+    let b = StreamScheduler::new(&pinned, 4, Threads::sequential());
     assert_eq!(a.schedule().assignments(), b.schedule().assignments());
     assert_eq!(a.utility().to_bits(), b.utility().to_bits());
     assert_eq!(a.last_repair().stats, b.last_repair().stats);
@@ -363,17 +363,18 @@ fn constrained_churning_streams_stay_feasible_and_thread_invariant() {
 
     let mut reference: Option<Vec<_>> = None;
     for &n in &THREAD_COUNTS {
-        let mut stream = StreamScheduler::new(base.clone(), 6, Threads::new(n));
+        let mut stream_inst = base.clone();
+        let mut stream = StreamScheduler::new(&stream_inst, 6, Threads::new(n));
         let mut live = base.clone();
         let mut trace = Vec::new();
         for op in &stream_ops {
             delta::apply(&mut live, op).expect("generated ops are valid");
-            stream.apply(op).expect("generated ops are valid");
+            stream.apply(&mut stream_inst, op).expect("generated ops are valid");
             validate_independently(&live, stream.schedule(), &format!("churn/t{n}"));
             trace.push((stream.schedule().assignments().to_vec(), stream.utility().to_bits()));
         }
         // Final state ≡ a cold rebuild of the materialized instance.
-        let cold = StreamScheduler::new(live.clone(), 6, Threads::new(n));
+        let cold = StreamScheduler::new(&live, 6, Threads::new(n));
         assert_eq!(stream.schedule().assignments(), cold.schedule().assignments());
         assert_eq!(stream.utility().to_bits(), cold.utility().to_bits());
         match &reference {

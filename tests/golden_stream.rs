@@ -11,6 +11,7 @@
 //! variable.
 
 use social_event_scheduling::algorithms::stream::StreamScheduler;
+use social_event_scheduling::core::model::Instance;
 use social_event_scheduling::core::parallel::Threads;
 use social_event_scheduling::datasets::ops::{self, OpStreamParams};
 use social_event_scheduling::datasets::Dataset;
@@ -25,9 +26,10 @@ fn render_run() -> String {
     let stream_ops = ops::generate(&base, &params);
     // Threads::default() resolves SES_THREADS: under CI's thread matrix the
     // identical golden bytes prove the repair path is thread-invariant.
-    let mut stream = StreamScheduler::new(base, 6, Threads::default());
+    let mut inst = base;
+    let mut stream = StreamScheduler::new(&inst, 6, Threads::default());
     let mut out = String::new();
-    let mut line = |tag: &str, s: &StreamScheduler| {
+    let mut line = |tag: &str, inst: &Instance, s: &StreamScheduler| {
         let rep = s.last_repair();
         let sched: Vec<String> = s
             .schedule()
@@ -39,8 +41,8 @@ fn render_run() -> String {
             out,
             "{tag:<14} |E|={:<3} |U|={:<3} rescored={:<3} scores={:<5} updates={:<4} \
              examined={:<5} utility={:.12} S=[{}]",
-            s.instance().num_events(),
-            s.instance().num_users(),
+            inst.num_events(),
+            inst.num_users(),
             rep.rescored,
             rep.stats.score_computations,
             rep.stats.score_updates,
@@ -49,10 +51,10 @@ fn render_run() -> String {
             sched.join(" "),
         );
     };
-    line("cold", &stream);
+    line("cold", &inst, &stream);
     for op in &stream_ops {
-        stream.apply(op).expect("generated ops are valid");
-        line(op.kind(), &stream);
+        stream.apply(&mut inst, op).expect("generated ops are valid");
+        line(op.kind(), &inst, &stream);
     }
     out
 }

@@ -15,6 +15,7 @@
 use social_event_scheduling::algorithms::stream::StreamScheduler;
 use social_event_scheduling::core::delta::coalesce::coalesce;
 use social_event_scheduling::core::delta::DeltaOp;
+use social_event_scheduling::core::model::Instance;
 use social_event_scheduling::core::parallel::Threads;
 use social_event_scheduling::datasets::ops::{self, BurstParams, OpStreamParams};
 use social_event_scheduling::datasets::Dataset;
@@ -32,36 +33,38 @@ fn render_run() -> String {
         ops::generate_bursts(&base, &burst).into_iter().map(|t| t.op).collect();
     // Threads::default() resolves SES_THREADS: under CI's thread matrix the
     // identical golden bytes prove the windowed path is thread-invariant.
-    let mut stream = StreamScheduler::new(base, 6, Threads::default());
+    let mut inst = base;
+    let mut stream = StreamScheduler::new(&inst, 6, Threads::default());
     let mut out = String::new();
-    let mut line = |tag: &str, ops: usize, coalesced: usize, s: &StreamScheduler| {
-        let rep = s.last_repair();
-        let sched: Vec<String> = s
-            .schedule()
-            .assignments()
-            .iter()
-            .map(|a| format!("{}@{}", a.event, a.interval))
-            .collect();
-        let _ = writeln!(
-            out,
-            "{tag:<6} ops={ops:<3} coal={coalesced:<3} |E|={:<3} |U|={:<3} rescored={:<3} \
+    let mut line =
+        |tag: &str, ops: usize, coalesced: usize, inst: &Instance, s: &StreamScheduler| {
+            let rep = s.last_repair();
+            let sched: Vec<String> = s
+                .schedule()
+                .assignments()
+                .iter()
+                .map(|a| format!("{}@{}", a.event, a.interval))
+                .collect();
+            let _ = writeln!(
+                out,
+                "{tag:<6} ops={ops:<3} coal={coalesced:<3} |E|={:<3} |U|={:<3} rescored={:<3} \
              scores={:<5} updates={:<4} examined={:<5} utility={:.12} S=[{}]",
-            s.instance().num_events(),
-            s.instance().num_users(),
-            rep.rescored,
-            rep.stats.score_computations,
-            rep.stats.score_updates,
-            rep.stats.assignments_examined,
-            s.utility(),
-            sched.join(" "),
-        );
-    };
-    line("cold", 0, 0, &stream);
+                inst.num_events(),
+                inst.num_users(),
+                rep.rescored,
+                rep.stats.score_computations,
+                rep.stats.score_updates,
+                rep.stats.assignments_examined,
+                s.utility(),
+                sched.join(" "),
+            );
+        };
+    line("cold", 0, 0, &inst, &stream);
     for chunk in feed.chunks(WINDOW) {
-        let batch = coalesce(stream.instance(), chunk).expect("generated windows are valid");
+        let batch = coalesce(&inst, chunk).expect("generated windows are valid");
         let coalesced = batch.len();
-        stream.repair_batch(chunk).expect("generated windows are valid");
-        line("win", chunk.len(), coalesced, &stream);
+        stream.repair_batch(&mut inst, chunk).expect("generated windows are valid");
+        line("win", chunk.len(), coalesced, &inst, &stream);
     }
     out
 }

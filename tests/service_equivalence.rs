@@ -2,7 +2,7 @@
 //! [`SesService`] answers is bit-identical to the cold, hand-plumbed
 //! path it replaced.**
 //!
-//! The service owns warm state — per-scheduler scratch pools, the
+//! The service owns warm state — one shared scratch pool, the
 //! incremental repairer's caches, a live mutated instance — and all of it
 //! must be invisible in results. Three claims, each tested differentially:
 //!
@@ -151,13 +151,14 @@ fn service_repair_bit_identical_to_direct_stream() {
             let mut service = SesService::new(base.clone()).with_threads(threads);
             let cold = service.repair(6, cfg).expect("cold repair");
             assert!(!cold.warm);
-            let mut direct = StreamScheduler::new(base.clone(), 6, threads);
-            assert_repair_state_matches(&label(0), &service, &direct);
+            let mut direct_inst = base.clone();
+            let mut direct = StreamScheduler::new(&direct_inst, 6, threads);
+            assert_repair_state_matches(&label(0), &service, &direct_inst, &direct);
             assert_eq!(cold.report.stats, direct.last_repair().stats);
 
             for (i, op) in stream_ops.iter().enumerate() {
                 let reports = service.apply_ops(std::slice::from_ref(op)).expect("valid op");
-                let direct_report = direct.apply(op).expect("valid op").clone();
+                let direct_report = direct.apply(&mut direct_inst, op).expect("valid op").clone();
                 assert_eq!(reports.len(), 1);
                 assert_eq!(reports[0].stats, direct_report.stats, "{}", label(i));
                 assert_eq!(
@@ -167,7 +168,7 @@ fn service_repair_bit_identical_to_direct_stream() {
                     label(i)
                 );
                 assert_eq!(reports[0].rescored, direct_report.rescored, "{}", label(i));
-                assert_repair_state_matches(&label(i), &service, &direct);
+                assert_repair_state_matches(&label(i), &service, &direct_inst, &direct);
 
                 if i % 7 == 3 {
                     // Interleaved scheduling must neither disturb the
@@ -176,7 +177,7 @@ fn service_repair_bit_identical_to_direct_stream() {
                     let reg = SchedulerRegistry::standard();
                     let direct_inc = reg.run(
                         reg.resolve("inc").unwrap(),
-                        direct.instance(),
+                        &direct_inst,
                         6,
                         cfg,
                         &mut Scratch::new(),
@@ -192,7 +193,12 @@ fn service_repair_bit_identical_to_direct_stream() {
     }
 }
 
-fn assert_repair_state_matches(label: &str, service: &SesService, direct: &StreamScheduler) {
+fn assert_repair_state_matches(
+    label: &str,
+    service: &SesService,
+    direct_inst: &Instance,
+    direct: &StreamScheduler,
+) {
     assert_eq!(
         service.current_schedule().expect("warm service").assignments(),
         direct.schedule().assignments(),
@@ -203,7 +209,7 @@ fn assert_repair_state_matches(label: &str, service: &SesService, direct: &Strea
         direct.utility().to_bits(),
         "{label}: repaired utility bits diverged"
     );
-    assert_eq!(service.instance(), direct.instance(), "{label}: instances diverged");
+    assert_eq!(service.instance(), direct_inst, "{label}: instances diverged");
 }
 
 /// Thread count must be invisible in service results: the full request mix

@@ -49,14 +49,15 @@ fn run_scenario(s: &Scenario) {
     assert_eq!(stream_ops.len(), OPS);
 
     let label = format!("{}/churn={}", s.dataset.name(), s.churn);
-    let mut s1 = StreamScheduler::new(base.clone(), K, Threads::sequential());
-    let mut s4 = StreamScheduler::new(base.clone(), K, Threads::new(4));
+    let (mut i1, mut i4) = (base.clone(), base.clone());
+    let mut s1 = StreamScheduler::new(&i1, K, Threads::sequential());
+    let mut s4 = StreamScheduler::new(&i4, K, Threads::new(4));
     assert_eq!(s1.last_repair().stats, s4.last_repair().stats, "{label}: cold-build stats");
     let mut mat = base;
     for (i, op) in stream_ops.iter().enumerate() {
         delta::apply(&mut mat, op).unwrap_or_else(|e| panic!("{label} op {i}: {e}"));
-        let r1 = s1.apply(op).unwrap_or_else(|e| panic!("{label} op {i}: {e}")).clone();
-        let r4 = s4.apply(op).unwrap_or_else(|e| panic!("{label} op {i}: {e}")).clone();
+        let r1 = s1.apply(&mut i1, op).unwrap_or_else(|e| panic!("{label} op {i}: {e}")).clone();
+        let r4 = s4.apply(&mut i4, op).unwrap_or_else(|e| panic!("{label} op {i}: {e}")).clone();
 
         // Thread count never changes a repair: same schedule, same utility
         // bits, same full Stats.
@@ -69,7 +70,7 @@ fn run_scenario(s: &Scenario) {
         assert_eq!(s1.utility().to_bits(), s4.utility().to_bits(), "{label} op {i}");
 
         // The live instance tracks the independent materialization exactly.
-        assert_eq!(s1.instance(), &mat, "{label} op {i}: instance drifted");
+        assert_eq!(i1, mat, "{label} op {i}: instance drifted");
 
         // Result-equivalence to full recompute: INC on the materialized
         // instance, assignment for assignment, utility bit for bit.
@@ -88,7 +89,7 @@ fn run_scenario(s: &Scenario) {
 
         // Work bound: a single-op repair examines strictly fewer
         // assignments than a cold rebuild of the same post-op instance.
-        let cold = StreamScheduler::new(mat.clone(), K, Threads::sequential());
+        let cold = StreamScheduler::new(&mat, K, Threads::sequential());
         let rebuilt = cold.last_repair().stats.assignments_examined;
         assert!(
             r1.stats.assignments_examined < rebuilt,

@@ -58,21 +58,26 @@ fn run_scenario(s: &Scenario) {
     let feed = feed_for(s, &base);
     for &window in WINDOWS {
         let label = format!("{}/window={window}", s.dataset.name());
-        let mut w1 = StreamScheduler::new(base.clone(), K, Threads::sequential());
-        let mut w4 = StreamScheduler::new(base.clone(), K, Threads::new(4));
-        let mut serial = StreamScheduler::new(base.clone(), K, Threads::sequential());
+        let (mut i1, mut i4, mut serial_inst) = (base.clone(), base.clone(), base.clone());
+        let mut w1 = StreamScheduler::new(&i1, K, Threads::sequential());
+        let mut w4 = StreamScheduler::new(&i4, K, Threads::new(4));
+        let mut serial = StreamScheduler::new(&serial_inst, K, Threads::sequential());
         let mut mat = base.clone();
         for (w, chunk) in feed.chunks(window).enumerate() {
             for (j, op) in chunk.iter().enumerate() {
                 delta::apply(&mut mat, op)
                     .unwrap_or_else(|e| panic!("{label} window {w} op {j}: {e}"));
-                serial.apply(op).unwrap_or_else(|e| panic!("{label} window {w} op {j}: {e}"));
+                serial
+                    .apply(&mut serial_inst, op)
+                    .unwrap_or_else(|e| panic!("{label} window {w} op {j}: {e}"));
             }
             let r1 = w1
-                .repair_batch(chunk)
+                .repair_batch(&mut i1, chunk)
                 .unwrap_or_else(|e| panic!("{label} window {w}: {e}"))
                 .clone();
-            let r4 = w4.repair_batch(chunk).unwrap_or_else(|e| panic!("{label} window {w}: {e}"));
+            let r4 = w4
+                .repair_batch(&mut i4, chunk)
+                .unwrap_or_else(|e| panic!("{label} window {w}: {e}"));
 
             // Thread count never changes a windowed repair: same full
             // Stats, same schedule, same utility bits.
@@ -87,8 +92,8 @@ fn run_scenario(s: &Scenario) {
             // The coalesced batch lands on the op-at-a-time instance
             // exactly — and both live instances track the independent
             // materialization.
-            assert!(w1.instance() == &mat, "{label} window {w}: windowed instance drifted");
-            assert!(serial.instance() == &mat, "{label} window {w}: serial instance drifted");
+            assert!(i1 == mat, "{label} window {w}: windowed instance drifted");
+            assert!(serial_inst == mat, "{label} window {w}: serial instance drifted");
 
             // Bit-identity to the op-at-a-time repair path...
             assert_eq!(
@@ -103,7 +108,7 @@ fn run_scenario(s: &Scenario) {
             );
 
             // ...and to a cold rebuild of the same post-window instance.
-            let cold = StreamScheduler::new(mat.clone(), K, Threads::sequential());
+            let cold = StreamScheduler::new(&mat, K, Threads::sequential());
             assert_eq!(
                 w1.schedule().assignments(),
                 cold.schedule().assignments(),
