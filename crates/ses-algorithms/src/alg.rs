@@ -8,15 +8,14 @@
 //! per-interval recomputation — are exactly what INC/HOR/HOR-I attack.
 
 use crate::common::{
-    max_duration, stale_window, timed_result, Cand, RunConfig, ScheduleResult, Scheduler, Scratch,
+    max_duration, score_table, stale_window, timed_result, Cand, RunConfig, ScheduleResult,
+    Scheduler, Scratch, TableEntry,
 };
 use ses_core::model::Instance;
-use ses_core::parallel::par_chunks_mut;
 use ses_core::schedule::Schedule;
 use ses_core::scoring::{EngineProfile, ScoringEngine};
 use ses_core::stats::Stats;
 use ses_core::{EventId, IntervalId};
-use std::time::Instant;
 
 /// The baseline greedy algorithm (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,10 +43,9 @@ fn run_alg(
     cfg: RunConfig,
     scratch: &mut Scratch,
 ) -> (Schedule, Stats, Option<EngineProfile>) {
-    let threads = cfg.threads;
     let num_events = inst.num_events();
     let num_intervals = inst.num_intervals();
-    let mut engine = ScoringEngine::with_threads(inst, threads);
+    let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
     if cfg.profile {
         engine.enable_profiling();
     }
@@ -57,53 +55,8 @@ fn run_alg(
     // scores[t * |E| + e]; assignments that are infeasible even on the empty
     // schedule (only possible under the duration extension, where a spanning
     // event can run off the calendar) are born dead.
-    let scores = scratch.reset_slots(num_events * num_intervals);
-    if threads.is_sequential() || num_intervals < 2 {
-        for t in 0..num_intervals {
-            for e in 0..num_events {
-                let (event, interval) = (EventId::new(e), IntervalId::new(t));
-                scores[t * num_events + e] = if schedule.is_valid_assignment(inst, event, interval)
-                {
-                    Some(engine.assignment_score(event, interval))
-                } else {
-                    None
-                };
-            }
-        }
-    } else {
-        // Parallel candidate generation: one score-table row (interval) per
-        // chunk, each scored via the stat-free `peek_score` (bit-identical
-        // to `assignment_score`; the pool does not nest), then the Stats
-        // bookkeeping replayed in the sequential pass's (t, e) order.
-        let gen_start = Instant::now();
-        {
-            let eng = &engine;
-            let sched = &schedule;
-            par_chunks_mut(threads, scores, num_events, |t, row| {
-                let interval = IntervalId::new(t);
-                for (e, slot) in row.iter_mut().enumerate() {
-                    let event = EventId::new(e);
-                    *slot = if sched.is_valid_assignment(inst, event, interval) {
-                        Some(eng.peek_score(event, interval))
-                    } else {
-                        None
-                    };
-                }
-            });
-        }
-        let gen_ns = gen_start.elapsed().as_nanos() as u64;
-        let mut generated = 0u64;
-        for t in 0..num_intervals {
-            for e in 0..num_events {
-                if scores[t * num_events + e].is_some() {
-                    let cost = engine.score_cost(EventId::new(e));
-                    engine.stats_mut().record_score(cost);
-                    generated += 1;
-                }
-            }
-        }
-        engine.add_scoring_time(gen_ns, generated);
-    }
+    let scores = &mut scratch.table;
+    score_table(&mut engine, false, scores);
 
     while schedule.len() < k {
         // Full scan for the top valid assignment (the paper's first
@@ -113,14 +66,14 @@ fn run_alg(
             let interval = IntervalId::new(t);
             for e in 0..num_events {
                 let idx = t * num_events + e;
-                let Some(score) = scores[idx] else { continue };
+                let Some(cell) = scores[idx] else { continue };
                 engine.stats_mut().record_examined(1);
                 let event = EventId::new(e);
                 if !schedule.is_valid_assignment(inst, event, interval) {
                     scores[idx] = None;
                     continue;
                 }
-                let cand = Cand::new(score, interval, event);
+                let cand = Cand::new(cell.score, interval, event);
                 if best.is_none_or(|b| cand.beats(&b)) {
                     best = Some(cand);
                 }
@@ -157,11 +110,11 @@ fn run_alg(
                 }
                 engine.stats_mut().record_examined(1);
                 let (event, interval) = (EventId::new(e), IntervalId::new(ti));
-                if schedule.is_valid_assignment(inst, event, interval) {
-                    scores[idx] = Some(engine.assignment_score_update(event, interval));
-                } else {
-                    scores[idx] = None;
-                }
+                scores[idx] =
+                    schedule.is_valid_assignment(inst, event, interval).then(|| TableEntry {
+                        score: engine.assignment_score_update(event, interval),
+                        exact: true,
+                    });
             }
         }
     }

@@ -1,14 +1,15 @@
 //! Shared scaffolding for all SES schedulers: the [`Scheduler`] trait, the
 //! [`ScheduleResult`] record, per-run execution options ([`RunConfig`]),
-//! the reusable allocation pool ([`Scratch`]), candidate ordering, and
-//! per-interval candidate lists.
+//! the reusable allocation pool ([`Scratch`]), the scoring pass that seeds
+//! every greedy scheduler, candidate ordering, and per-interval candidate
+//! lists.
 
 use serde::{Deserialize, Serialize};
 use ses_core::model::Instance;
-use ses_core::parallel::Threads;
+use ses_core::parallel::{par_chunks_mut, Threads};
 use ses_core::schedule::Schedule;
 use ses_core::scoring::utility::total_utility;
-use ses_core::scoring::EngineProfile;
+use ses_core::scoring::{EngineProfile, ScoringEngine};
 use ses_core::stats::Stats;
 use ses_core::{EventId, IntervalId};
 use std::time::{Duration, Instant};
@@ -287,6 +288,9 @@ impl PartialOrd for HeapEntry {
 /// result state between runs — only capacity.
 #[derive(Debug, Default)]
 pub struct Scratch {
+    /// The flat `|T|·|E|` table the scoring pass ([`score_table`]) fills:
+    /// ALG's live score table, and the seed of every other greedy scheduler.
+    pub(crate) table: Vec<Option<TableEntry>>,
     /// Per-interval candidate lists (INC / HOR-I / STREAM).
     pub(crate) lists: Vec<IntervalList>,
     /// Per-interval top-candidate table `M`.
@@ -295,65 +299,138 @@ pub struct Scratch {
     pub(crate) rows: Vec<Vec<(f64, EventId)>>,
     /// HOR's per-interval fallback cursors.
     pub(crate) cursors: Vec<usize>,
-    /// ALG's flat `|T|·|E|` score table.
-    pub(crate) slots: Vec<Option<f64>>,
     /// LAZY's heap backing store.
     pub(crate) heap: Vec<HeapEntry>,
     /// Stale-interval visit order buffer (INC / STREAM).
     pub(crate) pending: Vec<(f64, usize)>,
-    /// Per-interval virgin-span flags (STREAM's table write-back tracking).
-    pub(crate) virgin: Vec<bool>,
 }
-
-/// Resets scratch `lists` and `m` buffers to `n` empty intervals, keeping
-/// capacity. A free function so callers that destructure a [`Scratch`] into
-/// disjoint field borrows can still use it.
-pub(crate) fn reset_interval_lists(
-    lists: &mut Vec<IntervalList>,
-    m: &mut Vec<Option<Cand>>,
-    n: usize,
-) {
-    lists.truncate(n);
-    for list in lists.iter_mut() {
-        list.entries.clear();
-        list.fully_updated = false;
-    }
-    lists.resize_with(n, IntervalList::default);
-    m.clear();
-    m.resize(n, None);
-}
-
-/// HOR's per-round buffers, borrowed together from a [`Scratch`]:
-/// `(rows, cursors, m)`.
-pub(crate) type HorBuffers<'s> =
-    (&'s mut Vec<Vec<(f64, EventId)>>, &'s mut Vec<usize>, &'s mut Vec<Option<Cand>>);
 
 impl Scratch {
     /// A fresh, empty scratch (equivalent to `Default::default()`).
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Resets HOR's row/cursor/`M` buffers to `n` intervals, keeping
-    /// capacity.
-    pub(crate) fn reset_rows(&mut self, n: usize) -> HorBuffers<'_> {
-        self.rows.truncate(n);
-        for row in &mut self.rows {
-            row.clear();
-        }
-        self.rows.resize_with(n, Vec::new);
-        self.cursors.clear();
-        self.cursors.resize(n, 0);
-        self.m.clear();
-        self.m.resize(n, None);
-        (&mut self.rows, &mut self.cursors, &mut self.m)
+/// Resets `lists` and `m` to `inst`'s intervals (keeping capacity) and
+/// fills each list with its row of the `[t·|E| + e]` table, sorted: exact
+/// cells start updated, bound cells stale. `fully_updated` is the caller's
+/// to set.
+pub(crate) fn seed_interval_lists(
+    inst: &Instance,
+    table: &[Option<TableEntry>],
+    lists: &mut Vec<IntervalList>,
+    m: &mut Vec<Option<Cand>>,
+) {
+    let (num_e, num_t) = (inst.num_events(), inst.num_intervals());
+    lists.truncate(num_t);
+    lists.resize_with(num_t, IntervalList::default);
+    m.clear();
+    m.resize(num_t, None);
+    for (t, list) in lists.iter_mut().enumerate() {
+        list.entries.clear();
+        list.entries.extend((0..num_e).filter_map(|e| {
+            table[t * num_e + e].map(|c| Entry {
+                event: EventId::new(e),
+                score: c.score,
+                updated: c.exact,
+            })
+        }));
+        list.sort();
     }
+}
 
-    /// Resets ALG's flat score table to `len` dead slots, keeping capacity.
-    pub(crate) fn reset_slots(&mut self, len: usize) -> &mut Vec<Option<f64>> {
-        self.slots.clear();
-        self.slots.resize(len, None);
-        &mut self.slots
+/// One cell of an empty-schedule score table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TableEntry {
+    /// The assignment score on the empty schedule — exact, or an upper
+    /// bound.
+    pub score: f64,
+    /// Whether `score` is the exact blocked-reduction value.
+    pub exact: bool,
+}
+
+/// Scores one cell on `engine`'s current masses. Gate off: the full
+/// `assignment_score` sweep, exact. Gate on: the engine's O(duration)
+/// separable upper bound, inexact, counted in `Stats::bound_skips` — every
+/// consumer refreshes inexact cells lazily, exactly when the bound could
+/// still win.
+pub(crate) fn score_cell(
+    engine: &mut ScoringEngine<'_>,
+    event: EventId,
+    interval: IntervalId,
+    gate: bool,
+) -> TableEntry {
+    if gate {
+        engine.stats_mut().record_bound_skip();
+        TableEntry { score: engine.score_bound(event, interval), exact: false }
+    } else {
+        TableEntry { score: engine.assignment_score(event, interval), exact: true }
+    }
+}
+
+/// The scoring pass every greedy scheduler starts from (Algorithm 1's and
+/// Algorithm 3's "generate all valid assignments"): refills `table` as the
+/// flat `[t·|E| + e]` table of every assignment valid on the empty
+/// schedule, scored per [`score_cell`]; invalid cells are `None`.
+///
+/// At `threads > 1` with at least two intervals the rows fan out across
+/// the pool, each cell through the stat-free `peek_score`/`score_bound`
+/// (the pool does not nest; both are bit-identical to their sequential
+/// counterparts), and the `Stats` the sequential pass would record are
+/// replayed afterwards. Nothing downstream can tell the two paths apart.
+pub(crate) fn score_table(
+    engine: &mut ScoringEngine<'_>,
+    gate: bool,
+    table: &mut Vec<Option<TableEntry>>,
+) {
+    let inst = engine.instance();
+    let (num_e, num_t) = (inst.num_events(), inst.num_intervals());
+    let threads = engine.threads();
+    let probe = Schedule::new(inst);
+    table.clear();
+    table.resize(num_e * num_t, None);
+    if threads.is_sequential() || num_t < 2 {
+        for (idx, slot) in table.iter_mut().enumerate() {
+            let (event, interval) = (EventId::new(idx % num_e), IntervalId::new(idx / num_e));
+            if probe.is_valid_assignment(inst, event, interval) {
+                *slot = Some(score_cell(engine, event, interval, gate));
+            }
+        }
+        return;
+    }
+    let gen_start = Instant::now();
+    {
+        let eng = &*engine;
+        par_chunks_mut(threads, table, num_e, |t, row| {
+            let interval = IntervalId::new(t);
+            for (e, slot) in row.iter_mut().enumerate() {
+                let event = EventId::new(e);
+                if probe.is_valid_assignment(inst, event, interval) {
+                    *slot = Some(if gate {
+                        TableEntry { score: eng.score_bound(event, interval), exact: false }
+                    } else {
+                        TableEntry { score: eng.peek_score(event, interval), exact: true }
+                    });
+                }
+            }
+        });
+    }
+    let gen_ns = gen_start.elapsed().as_nanos() as u64;
+    let mut generated = 0u64;
+    for (idx, cell) in table.iter().enumerate() {
+        match cell {
+            Some(c) if c.exact => {
+                let cost = engine.score_cost(EventId::new(idx % num_e));
+                engine.stats_mut().record_score(cost);
+                generated += 1;
+            }
+            Some(_) => engine.stats_mut().record_bound_skip(),
+            None => {}
+        }
+    }
+    if !gate {
+        engine.add_scoring_time(gen_ns, generated);
     }
 }
 

@@ -18,16 +18,14 @@
 //!   utility is identical and the observed gap averages 0.008%.
 
 use crate::common::{
-    better, max_duration, stale_window, timed_result, Cand, RunConfig, ScheduleResult, Scheduler,
-    Scratch,
+    better, max_duration, score_table, stale_window, timed_result, Cand, RunConfig, ScheduleResult,
+    Scheduler, Scratch,
 };
 use ses_core::model::Instance;
-use ses_core::parallel::par_chunks_mut;
 use ses_core::schedule::Schedule;
 use ses_core::scoring::{EngineProfile, ScoringEngine};
 use ses_core::stats::Stats;
 use ses_core::{EventId, IntervalId};
-use std::time::Instant;
 
 /// The Horizontal Assignment algorithm (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,59 +59,40 @@ fn run_hor(
     cfg: RunConfig,
     scratch: &mut Scratch,
 ) -> (Schedule, Stats, Option<EngineProfile>) {
-    let threads = cfg.threads;
     let num_events = inst.num_events();
     let num_intervals = inst.num_intervals();
-    let mut engine = ScoringEngine::with_threads(inst, threads);
+    let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
     if cfg.profile {
         engine.enable_profiling();
     }
     let mut schedule = Schedule::new(inst);
     let max_dur = max_duration(inst);
     let mut first_round = true;
+    let Scratch { table, rows: lists, cursors: cursor, m, .. } = scratch;
 
     while schedule.len() < k {
         // Round start: rebuild per-interval lists of valid assignments with
         // fresh scores (Algorithm 2 lines 3–8); the row buffers come from
         // the scratch, so rounds past the first allocate nothing.
-        let (lists, cursor, m) = scratch.reset_rows(num_intervals);
-        if first_round && !threads.is_sequential() && num_intervals >= 2 {
-            // Parallel candidate generation for the score-all first round:
-            // intervals are independent on the empty schedule, so each list
-            // is built and sorted on its own chunk via the stat-free
-            // `peek_score` (bit-identical to `assignment_score`); the Stats
-            // bookkeeping is replayed afterwards. Selection still merges
-            // through the canonical `Cand` order, so nothing downstream can
-            // tell the rounds apart.
-            let gen_start = Instant::now();
-            {
-                let eng = &engine;
-                let sched = &schedule;
-                par_chunks_mut(threads, lists, 1, |t, slot| {
-                    let interval = IntervalId::new(t);
-                    let list = &mut slot[0];
-                    for e in 0..num_events {
-                        let event = EventId::new(e);
-                        if sched.is_scheduled(event)
-                            || !sched.is_valid_assignment(inst, event, interval)
-                        {
-                            continue;
-                        }
-                        list.push((eng.peek_score(event, interval), event));
-                    }
-                    sort_list(list);
-                });
+        lists.truncate(num_intervals);
+        for list in lists.iter_mut() {
+            list.clear();
+        }
+        lists.resize_with(num_intervals, Vec::new);
+        cursor.resize(num_intervals, 0);
+        m.resize(num_intervals, None);
+        if first_round {
+            // The score-all first round is the shared scoring pass (row
+            // fan-out at `threads > 1`) read back row by row.
+            score_table(&mut engine, false, table);
+            for (t, list) in lists.iter_mut().enumerate() {
+                list.extend(
+                    (0..num_events).filter_map(|e| {
+                        table[t * num_events + e].map(|c| (c.score, EventId::new(e)))
+                    }),
+                );
+                sort_list(list);
             }
-            let gen_ns = gen_start.elapsed().as_nanos() as u64;
-            let mut generated = 0u64;
-            for list in lists.iter() {
-                for &(_, event) in list {
-                    let cost = engine.score_cost(event);
-                    engine.stats_mut().record_score(cost);
-                    generated += 1;
-                }
-            }
-            engine.add_scoring_time(gen_ns, generated);
         } else {
             #[allow(clippy::needless_range_loop)] // t indexes lists *and* names the interval
             for t in 0..num_intervals {
@@ -125,11 +104,7 @@ fn run_hor(
                     {
                         continue;
                     }
-                    let score = if first_round {
-                        engine.assignment_score(event, interval)
-                    } else {
-                        engine.assignment_score_update(event, interval)
-                    };
+                    let score = engine.assignment_score_update(event, interval);
                     lists[t].push((score, event));
                 }
                 sort_list(&mut lists[t]);

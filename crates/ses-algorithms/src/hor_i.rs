@@ -19,14 +19,14 @@
 //! HOR-I is identical to HOR whenever one round suffices (`k ≤ |T|`).
 
 use crate::common::{
-    better, max_duration, stale_window, timed_result, Cand, Entry, RunConfig, ScheduleResult,
-    Scheduler, Scratch,
+    better, max_duration, score_table, seed_interval_lists, stale_window, timed_result, Cand,
+    Entry, RunConfig, ScheduleResult, Scheduler, Scratch,
 };
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
 use ses_core::scoring::{EngineProfile, ScoringEngine};
 use ses_core::stats::Stats;
-use ses_core::{EventId, IntervalId};
+use ses_core::IntervalId;
 
 /// The Horizontal Assignment with Incremental Updating algorithm
 /// (see module docs).
@@ -153,7 +153,6 @@ fn run_hor_i(
     scratch: &mut Scratch,
 ) -> (Schedule, Stats, Option<EngineProfile>) {
     let gate = cfg.bound_gate;
-    let num_events = inst.num_events();
     let num_intervals = inst.num_intervals();
     let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
     if cfg.profile {
@@ -161,8 +160,7 @@ fn run_hor_i(
     }
     let mut schedule = Schedule::new(inst);
     let max_dur = max_duration(inst);
-    let Scratch { lists, m, .. } = scratch;
-    crate::common::reset_interval_lists(lists, m, num_intervals);
+    let Scratch { table, lists, m, .. } = scratch;
     let mut first_round = true;
 
     while schedule.len() < k {
@@ -171,33 +169,12 @@ fn run_hor_i(
             // initial scores, or (bound-first gate) with O(duration) bound
             // seeds that the round-1 walk below lazily refreshes where they
             // can still reach the interval's Φ.
-            #[allow(clippy::needless_range_loop)] // t indexes lists *and* names the interval
-            for t in 0..num_intervals {
-                let interval = IntervalId::new(t);
-                for e in 0..num_events {
-                    let event = EventId::new(e);
-                    if !schedule.is_valid_assignment(inst, event, interval) {
-                        continue;
-                    }
-                    if gate {
-                        let bound = engine.score_bound(event, interval);
-                        engine.stats_mut().record_bound_skip();
-                        lists[t].entries.push(Entry { event, score: bound, updated: false });
-                    } else {
-                        let score = engine.assignment_score(event, interval);
-                        lists[t].entries.push(Entry { event, score, updated: true });
-                    }
-                }
-                sort_entries(&mut lists[t].entries);
-                if gate {
-                    walk_interval(
-                        inst,
-                        &mut engine,
-                        &schedule,
-                        &mut lists[t].entries,
-                        interval,
-                        false,
-                    );
+            score_table(&mut engine, gate, table);
+            seed_interval_lists(inst, table, lists, m);
+            if gate {
+                for (t, list) in lists.iter_mut().enumerate() {
+                    let interval = IntervalId::new(t);
+                    walk_interval(inst, &mut engine, &schedule, &mut list.entries, interval, false);
                 }
             }
             first_round = false;
@@ -279,7 +256,7 @@ mod tests {
     use super::*;
     use crate::hor::Hor;
     use ses_core::model::running_example;
-    use ses_core::Assignment;
+    use ses_core::{Assignment, EventId};
 
     /// Example 5: versus HOR's three round-2 updates, HOR-I performs two —
     /// refreshing e2@t2 (0.16) bounds out e3@t2 (stale 0.09), while e3@t1

@@ -26,14 +26,14 @@
 //! score as the interval's upper bound, which is both correct and effective.
 
 use crate::common::{
-    better, max_duration, stale_window, timed_result, Cand, Entry, IntervalList, RunConfig,
-    ScheduleResult, Scheduler, Scratch,
+    best_candidate, better, max_duration, score_table, seed_interval_lists, stale_window,
+    timed_result, Cand, IntervalList, RunConfig, ScheduleResult, Scheduler, Scratch, TableEntry,
 };
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
 use ses_core::scoring::{EngineProfile, ScoringEngine};
 use ses_core::stats::Stats;
-use ses_core::{EventId, IntervalId};
+use ses_core::IntervalId;
 
 /// The Incremental Updating algorithm (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,22 +55,57 @@ impl Scheduler for Inc {
     }
 }
 
-struct IncState<'a, 'b, 's> {
-    inst: &'a Instance,
-    engine: ScoringEngine<'b>,
-    schedule: Schedule,
-    lists: &'s mut Vec<IntervalList>,
+/// INC's interval-organized selection state (§3.2.2), shared with the
+/// stream repairer: per-interval lists seeded from a score table, the list
+/// `M` of each interval's top updated & valid assignment, and the
+/// placement bookkeeping of Algorithm 1 lines 9–15. The Corollary-1 update
+/// pass that runs before each choice is the caller's: INC's and the
+/// repairer's walks count `assignments_examined` differently, and both
+/// counts are pinned by goldens.
+pub(crate) struct Selection<'s, 'a> {
+    pub inst: &'a Instance,
+    pub engine: &'s mut ScoringEngine<'a>,
+    pub schedule: Schedule,
+    pub lists: &'s mut Vec<IntervalList>,
     /// `M`: per interval, the top updated & valid assignment.
-    m: &'s mut Vec<Option<Cand>>,
+    pub m: &'s mut Vec<Option<Cand>>,
+    max_dur: usize,
 }
 
-impl IncState<'_, '_, '_> {
+impl<'s, 'a> Selection<'s, 'a> {
+    /// Seeds one list per interval from the `[t·|E| + e]` empty-schedule
+    /// table (exact cells updated, bound cells stale) and derives `M`.
+    ///
+    /// `bound_seeded` marks a table the bound-first gate filled: every list
+    /// is then left for the first update pass, an empty one included,
+    /// which is INC's gated accounting. Otherwise a list counts as fully
+    /// updated iff it holds no stale cell.
+    pub fn seed(
+        engine: &'s mut ScoringEngine<'a>,
+        table: &[Option<TableEntry>],
+        bound_seeded: bool,
+        lists: &'s mut Vec<IntervalList>,
+        m: &'s mut Vec<Option<Cand>>,
+    ) -> Self {
+        let inst = engine.instance();
+        seed_interval_lists(inst, table, lists, m);
+        for list in lists.iter_mut() {
+            list.fully_updated = !bound_seeded && list.entries.iter().all(|e| e.updated);
+        }
+        let schedule = Schedule::new(inst);
+        let mut sel = Self { inst, engine, schedule, lists, m, max_dur: max_duration(inst) };
+        for i in 0..sel.lists.len() {
+            sel.refresh_m(i);
+        }
+        sel
+    }
+
     /// Re-derives `M[i]`: the first *updated and valid* entry in sorted
     /// order (= the interval's best updated score, since updated entries
     /// carry true scores). Invalid entries encountered on the way — e.g.
     /// events scheduled at other intervals in earlier rounds, left behind a
     /// walk's early break — are removed.
-    fn refresh_m(&mut self, i: usize) {
+    pub fn refresh_m(&mut self, i: usize) {
         let interval = IntervalId::new(i);
         let mut found = None;
         let mut idx = 0;
@@ -89,55 +124,114 @@ impl IncState<'_, '_, '_> {
         self.m[i] = found;
     }
 
-    /// The Corollary-1 update pass for one interval: walk entries in
-    /// descending stored order; drop invalid ones; refresh stale entries with
-    /// stored score ≥ Φ; stop at the first entry below Φ. Returns the
-    /// possibly-improved Φ.
-    fn update_interval(&mut self, i: usize, mut phi: Option<Cand>) -> Option<Cand> {
-        let interval = IntervalId::new(i);
+    /// The best candidate in `M` under the canonical order.
+    pub fn best(&self) -> Option<Cand> {
+        best_candidate(self.m.iter().flatten().copied())
+    }
 
-        // Interval-level skip: even the best upper bound cannot reach Φ.
-        if let (Some(p), Some(front)) = (phi, self.lists[i].entries.first()) {
-            self.engine.stats_mut().record_examined(1);
-            if front.score < p.score {
-                return phi;
-            }
+    /// Greedy selection up to `k` assignments: each round runs
+    /// `update_pass` with Φ = the best of `M` (the pass brings every
+    /// candidate that could still beat Φ up to date), then places the top
+    /// of `M` — now the true greedy choice.
+    pub fn select(&mut self, k: usize, mut update_pass: impl FnMut(&mut Self, Option<Cand>)) {
+        while self.schedule.len() < k {
+            update_pass(self, self.best());
+            let Some(chosen) = self.best() else { break };
+            self.place(chosen);
         }
+    }
 
-        let mut idx = 0;
-        let mut any_refresh = false;
-        while idx < self.lists[i].entries.len() {
-            let ent = self.lists[i].entries[idx];
-            self.engine.stats_mut().record_examined(1);
-            if !self.schedule.is_valid_assignment(self.inst, ent.event, interval) {
-                self.lists[i].entries.remove(idx);
+    /// Places `chosen` (Algorithm 1 lines 9–15): every starting interval
+    /// whose assignments may span into the placed span — the stale window;
+    /// exactly the selected interval under duration-1 — has its survivors
+    /// marked stale, and `M` entries the placement invalidated are
+    /// re-derived.
+    fn place(&mut self, chosen: Cand) {
+        debug_assert!(
+            self.schedule.is_valid_assignment(self.inst, chosen.event, chosen.interval),
+            "M must only hold valid assignments"
+        );
+        self.schedule
+            .assign(self.inst, chosen.event, chosen.interval)
+            .expect("selected assignment must be valid");
+        self.engine.apply(chosen.event, chosen.interval);
+
+        let span = stale_window(self.inst, self.max_dur, chosen.event, chosen.interval);
+        for ti in span.clone() {
+            let list = &mut self.lists[ti];
+            list.entries.retain(|e| e.event != chosen.event);
+            for e in &mut list.entries {
+                e.updated = false;
+            }
+            list.fully_updated = list.entries.is_empty();
+            self.m[ti] = None;
+        }
+        // The chosen event's other assignments, plus (under the duration
+        // extension) any entry whose own span now collides with the placed
+        // event.
+        for i in 0..self.lists.len() {
+            if span.contains(&i) {
                 continue;
             }
-            if let Some(p) = phi {
-                if ent.score < p.score {
-                    break; // sorted: everything below is below Φ too
-                }
+            let needs_refresh = self.m[i].is_some_and(|c| {
+                c.event == chosen.event
+                    || !self.schedule.is_valid_assignment(self.inst, c.event, c.interval)
+            });
+            if needs_refresh {
+                self.refresh_m(i);
             }
-            if !ent.updated {
-                let fresh = self.engine.assignment_score_update(ent.event, interval);
-                let e = &mut self.lists[i].entries[idx];
-                e.score = fresh;
-                e.updated = true;
-                any_refresh = true;
-            }
-            let cand = Cand::new(self.lists[i].entries[idx].score, interval, ent.event);
-            phi = better(phi, Some(cand));
-            idx += 1;
         }
-
-        let list = &mut self.lists[i];
-        if any_refresh {
-            list.sort();
-        }
-        list.fully_updated = list.entries.iter().all(|e| e.updated);
-        self.refresh_m(i);
-        phi
     }
+}
+
+/// The Corollary-1 update pass for one interval: walk entries in
+/// descending stored order; drop invalid ones; refresh stale entries with
+/// stored score ≥ Φ; stop at the first entry below Φ. Every entry passed
+/// counts as examined. Returns the possibly-improved Φ.
+fn update_interval(sel: &mut Selection<'_, '_>, i: usize, mut phi: Option<Cand>) -> Option<Cand> {
+    let interval = IntervalId::new(i);
+
+    // Interval-level skip: even the best upper bound cannot reach Φ.
+    if let (Some(p), Some(front)) = (phi, sel.lists[i].entries.first()) {
+        sel.engine.stats_mut().record_examined(1);
+        if front.score < p.score {
+            return phi;
+        }
+    }
+
+    let mut idx = 0;
+    let mut any_refresh = false;
+    while idx < sel.lists[i].entries.len() {
+        let ent = sel.lists[i].entries[idx];
+        sel.engine.stats_mut().record_examined(1);
+        if !sel.schedule.is_valid_assignment(sel.inst, ent.event, interval) {
+            sel.lists[i].entries.remove(idx);
+            continue;
+        }
+        if let Some(p) = phi {
+            if ent.score < p.score {
+                break; // sorted: everything below is below Φ too
+            }
+        }
+        if !ent.updated {
+            let fresh = sel.engine.assignment_score_update(ent.event, interval);
+            let e = &mut sel.lists[i].entries[idx];
+            e.score = fresh;
+            e.updated = true;
+            any_refresh = true;
+        }
+        let cand = Cand::new(sel.lists[i].entries[idx].score, interval, ent.event);
+        phi = better(phi, Some(cand));
+        idx += 1;
+    }
+
+    let list = &mut sel.lists[i];
+    if any_refresh {
+        list.sort();
+    }
+    list.fully_updated = list.entries.iter().all(|e| e.updated);
+    sel.refresh_m(i);
+    phi
 }
 
 fn run_inc(
@@ -146,16 +240,12 @@ fn run_inc(
     cfg: RunConfig,
     scratch: &mut Scratch,
 ) -> (Schedule, Stats, Option<EngineProfile>) {
-    let num_events = inst.num_events();
     let num_intervals = inst.num_intervals();
-    let max_dur = max_duration(inst);
-    let Scratch { lists, m, pending, .. } = scratch;
-    crate::common::reset_interval_lists(lists, m, num_intervals);
+    let Scratch { table, lists, m, pending, .. } = scratch;
     let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
     if cfg.profile {
         engine.enable_profiling();
     }
-    let mut state = IncState { inst, engine, schedule: Schedule::new(inst), lists, m };
 
     // Initial pass over the full |E| × |T| universe (same as ALG).
     // Duration-extension guard: spanning events that run off the calendar
@@ -171,99 +261,29 @@ fn run_inc(
     // `score_updates` shows how many were eventually swept). Selection is
     // untouched: any candidate tying or beating the final Φ has
     // `bound ≥ true ≥ Φ` and is therefore refreshed before the choice.
-    for t in 0..num_intervals {
-        let interval = IntervalId::new(t);
-        for e in 0..num_events {
-            let event = EventId::new(e);
-            if !state.schedule.is_valid_assignment(state.inst, event, interval) {
-                continue;
-            }
-            if cfg.bound_gate {
-                let bound = state.engine.score_bound(event, interval);
-                state.engine.stats_mut().record_bound_skip();
-                state.lists[t].entries.push(Entry { event, score: bound, updated: false });
-            } else {
-                let score = state.engine.assignment_score(event, interval);
-                state.lists[t].entries.push(Entry { event, score, updated: true });
-            }
-        }
-        state.lists[t].fully_updated = !cfg.bound_gate;
-        state.lists[t].sort();
-        state.refresh_m(t);
-    }
+    score_table(&mut engine, cfg.bound_gate, table);
+    let mut sel = Selection::seed(&mut engine, table, cfg.bound_gate, lists, m);
 
-    while state.schedule.len() < k {
-        // Bound Φ = best over M, then the Corollary-1 update pass.
-        let mut phi: Option<Cand> = None;
-        for cand in state.m.iter().flatten() {
-            phi = better(phi, Some(*cand));
-        }
+    sel.select(k, |sel, mut phi| {
         // Visit partially-updated intervals in descending front-bound order
-        // so Φ tightens as early as possible (this is what lets Example 3 get
-        // away with a single update).
+        // so Φ tightens as early as possible (this is what lets Example 3
+        // get away with a single update).
         pending.clear();
         pending.extend(
-            (0..num_intervals).filter(|&i| !state.lists[i].fully_updated).map(|i| {
-                (state.lists[i].entries.first().map_or(f64::NEG_INFINITY, |e| e.score), i)
-            }),
+            (0..num_intervals)
+                .filter(|&i| !sel.lists[i].fully_updated)
+                .map(|i| (sel.lists[i].entries.first().map_or(f64::NEG_INFINITY, |e| e.score), i)),
         );
         pending.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
         for &(_, i) in pending.iter() {
-            phi = state.update_interval(i, phi);
+            phi = update_interval(sel, i, phi);
         }
+    });
 
-        // Select the top of M (now the true greedy choice).
-        let mut chosen: Option<Cand> = None;
-        for cand in state.m.iter().flatten() {
-            chosen = better(chosen, Some(*cand));
-        }
-        let Some(chosen) = chosen else { break };
-        debug_assert!(
-            state.schedule.is_valid_assignment(inst, chosen.event, chosen.interval),
-            "M must only hold valid assignments"
-        );
-
-        state
-            .schedule
-            .assign(inst, chosen.event, chosen.interval)
-            .expect("selected assignment must be valid");
-        state.engine.apply(chosen.event, chosen.interval);
-
-        // Bookkeeping (Algorithm 1 lines 9–15): every starting interval
-        // whose assignments may span into the placed span — the stale
-        // window; exactly the selected interval under duration-1 — has its
-        // survivors marked stale.
-        let span = stale_window(inst, max_dur, chosen.event, chosen.interval);
-        for ti in span.clone() {
-            let list = &mut state.lists[ti];
-            list.entries.retain(|e| e.event != chosen.event);
-            for e in &mut list.entries {
-                e.updated = false;
-            }
-            list.fully_updated = list.entries.is_empty();
-            state.m[ti] = None;
-        }
-        // ...and M entries invalidated by the selection — the chosen event's
-        // other assignments, plus (under the duration extension) any entry
-        // whose own span now collides with the newly placed event — are
-        // re-derived.
-        for i in 0..num_intervals {
-            if span.contains(&i) {
-                continue;
-            }
-            let needs_refresh = state.m[i].is_some_and(|c| {
-                c.event == chosen.event
-                    || !state.schedule.is_valid_assignment(state.inst, c.event, c.interval)
-            });
-            if needs_refresh {
-                state.refresh_m(i);
-            }
-        }
-    }
-
-    let stats = *state.engine.stats();
-    let profile = state.engine.take_profile();
-    (state.schedule, stats, profile)
+    let schedule = sel.schedule;
+    let stats = *engine.stats();
+    let profile = engine.take_profile();
+    (schedule, stats, profile)
 }
 
 #[cfg(test)]
@@ -271,7 +291,7 @@ mod tests {
     use super::*;
     use crate::alg::Alg;
     use ses_core::model::running_example;
-    use ses_core::Assignment;
+    use ses_core::{Assignment, EventId};
 
     /// Example 3: INC finds the same schedule as ALG with only one update
     /// (α_{e2}^{t2}) instead of ALG's four.

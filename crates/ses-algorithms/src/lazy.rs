@@ -17,11 +17,14 @@
 //! ALG's schedule. Comparing LAZY with INC in the `ablation` bench isolates
 //! what the interval organization buys on top of lazy evaluation.
 
-use crate::common::{timed_result, Cand, HeapEntry, RunConfig, ScheduleResult, Scheduler, Scratch};
+use crate::common::{
+    score_table, timed_result, Cand, HeapEntry, RunConfig, ScheduleResult, Scheduler, Scratch,
+};
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
 use ses_core::scoring::{EngineProfile, ScoringEngine};
 use ses_core::stats::Stats;
+use ses_core::{EventId, IntervalId};
 use std::collections::BinaryHeap;
 
 /// The lazy greedy scheduler (see module docs).
@@ -55,14 +58,16 @@ fn run_lazy(
         engine.enable_profiling();
     }
     let mut schedule = Schedule::new(inst);
+    let num_e = inst.num_events();
     let mut epoch = vec![0u64; inst.num_intervals()];
-    let span_epoch = |epoch: &[u64], e: ses_core::EventId, t: ses_core::IntervalId| -> u64 {
+    let span_epoch = |epoch: &[u64], e: EventId, t: IntervalId| -> u64 {
         let d = inst.events[e.index()].duration as usize;
         epoch[t.index()..t.index() + d].iter().sum()
     };
 
-    // The heap's backing store comes from the scratch (heapifying an empty
-    // vec is free; `into_vec` hands the capacity back at the end).
+    // The heap is seeded from the shared scoring pass; its backing store
+    // comes from the scratch (`into_vec` hands the capacity back at the
+    // end).
     //
     // **Bound-first gate** (opt-in): entries are seeded with the engine's
     // O(duration) separable upper bound at the FORCE_REFRESH epoch instead
@@ -72,24 +77,16 @@ fn run_lazy(
     // counts the seeds; `score_updates` the sweeps eventually paid).
     // Selections are untouched: a bound is a sound upper bound, and the
     // sentinel epoch forces a sweep before the entry can be selected.
+    score_table(&mut engine, cfg.bound_gate, &mut scratch.table);
     scratch.heap.clear();
+    scratch.heap.extend(scratch.table.iter().enumerate().filter_map(|(idx, cell)| {
+        let (event, interval) = (EventId::new(idx % num_e), IntervalId::new(idx / num_e));
+        cell.map(|c| HeapEntry {
+            cand: Cand::new(c.score, interval, event),
+            epoch: if c.exact { 0 } else { HeapEntry::FORCE_REFRESH },
+        })
+    }));
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::from(std::mem::take(&mut scratch.heap));
-    for (event, interval) in inst.assignment_universe() {
-        if !schedule.is_valid_assignment(inst, event, interval) {
-            continue; // duration-extension guard: off-calendar spans
-        }
-        if cfg.bound_gate {
-            let bound = engine.score_bound(event, interval);
-            engine.stats_mut().record_bound_skip();
-            heap.push(HeapEntry {
-                cand: Cand::new(bound, interval, event),
-                epoch: HeapEntry::FORCE_REFRESH,
-            });
-        } else {
-            let score = engine.assignment_score(event, interval);
-            heap.push(HeapEntry { cand: Cand::new(score, interval, event), epoch: 0 });
-        }
-    }
 
     while schedule.len() < k {
         let Some(top) = heap.pop() else { break };
@@ -130,7 +127,6 @@ mod tests {
     use crate::alg::Alg;
     use crate::inc::Inc;
     use ses_core::model::running_example;
-    use ses_core::{EventId, IntervalId};
 
     #[test]
     fn matches_alg_on_running_example() {

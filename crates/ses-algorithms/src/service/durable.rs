@@ -236,18 +236,18 @@ impl DurableService {
         match req {
             Request::Persist => match self.compact() {
                 Ok((generation, folded)) => Response::Persisted { generation, folded },
-                Err(e) => error_response(&e),
+                Err(e) => Response::error(&e),
             },
             Request::Restore => match self.reload() {
                 Ok(r) => Response::Restored { generation: r.generation, replayed: r.replayed },
-                Err(e) => error_response(&e),
+                Err(e) => Response::error(&e),
             },
             Request::Schedule { .. }
             | Request::ApplyOps { .. }
             | Request::Repair { .. }
             | Request::Reset => {
                 if let Err(e) = self.wal.append(wire::encode_request(req).as_bytes()) {
-                    return error_response(&e);
+                    return Response::error(&e);
                 }
                 self.wal_records += 1;
                 let resp = self.svc.handle(req);
@@ -256,7 +256,7 @@ impl DurableService {
                         // The record is durable in the log either way, but
                         // a session that can no longer write snapshots
                         // should say so rather than grow the log silently.
-                        return error_response(&e);
+                        return Response::error(&e);
                     }
                 }
                 resp
@@ -286,7 +286,7 @@ impl DurableService {
     pub fn handle_line(&mut self, line: &str) -> String {
         let resp = match wire::decode_request(line) {
             Ok(req) => self.handle(&req),
-            Err(e) => error_response(&e),
+            Err(e) => Response::error(&e),
         };
         wire::encode_response(&resp)
     }
@@ -448,9 +448,4 @@ fn state_bytes(svc: &SesService) -> Result<Vec<u8>, ServiceError> {
     serde_json::to_string(&svc.to_state())
         .map(String::into_bytes)
         .map_err(|e| ServiceError::Io { detail: format!("serialize session state: {e}") })
-}
-
-/// Renders a failure the way [`SesService::handle`] does.
-fn error_response(e: &ServiceError) -> Response {
-    Response::Error { code: e.code().to_string(), message: e.to_string() }
 }

@@ -288,6 +288,14 @@ pub enum Response {
     },
 }
 
+impl Response {
+    /// The [`Response::Error`] line for a failure: its stable code and
+    /// rendered message.
+    pub fn error(e: &ServiceError) -> Self {
+        Self::Error { code: e.code().to_string(), message: e.to_string() }
+    }
+}
+
 /// Per-op repair measurements with the wall-clock stripped (the
 /// deterministic subset of [`RepairReport`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -513,13 +521,10 @@ impl ReadView {
         match req {
             Request::Query { query } => match self.query(query) {
                 Ok(reply) => Response::Info { reply },
-                Err(e) => Response::Error { code: e.code().to_string(), message: e.to_string() },
+                Err(e) => Response::error(&e),
             },
             Request::Snapshot => Response::State { snapshot: self.snapshot() },
-            _ => {
-                let e = ServiceError::failed("read view can only answer Query/Snapshot");
-                Response::Error { code: e.code().to_string(), message: e.to_string() }
-            }
+            _ => Response::error(&ServiceError::failed("read view can only answer Query/Snapshot")),
         }
     }
 }
@@ -1094,7 +1099,7 @@ impl SesService {
         self.requests_handled += 1;
         match self.dispatch(req) {
             Ok(resp) => resp,
-            Err(e) => Response::Error { code: e.code().to_string(), message: e.to_string() },
+            Err(e) => Response::error(&e),
         }
     }
 
@@ -1171,7 +1176,7 @@ impl SesService {
     pub fn handle_line(&mut self, line: &str) -> String {
         let resp = match wire::decode_request(line) {
             Ok(req) => self.handle(&req),
-            Err(e) => Response::Error { code: e.code().to_string(), message: e.to_string() },
+            Err(e) => Response::error(&e),
         };
         wire::encode_response(&resp)
     }

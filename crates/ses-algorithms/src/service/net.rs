@@ -456,18 +456,18 @@ impl SessionManager {
                     durable: boot.durable,
                     recovered: boot.recovered,
                 },
-                Err(e) => error_response(&e),
+                Err(e) => Response::error(&e),
             },
             Request::CloseSession { session: name } => match self.close(name) {
                 Ok(()) => Response::SessionClosed { session: name.clone() },
-                Err(e) => error_response(&e),
+                Err(e) => Response::error(&e),
             },
             Request::ListSessions => Response::Sessions { sessions: self.list() },
             _ => {
                 let name = session.unwrap_or(DEFAULT_SESSION);
                 match self.resolve(name) {
                     Ok(s) => s.handle(req),
-                    Err(e) => error_response(&e),
+                    Err(e) => Response::error(&e),
                 }
             }
         }
@@ -481,7 +481,7 @@ impl SessionManager {
     pub fn handle_line(&self, line: &str) -> String {
         let resp = match wire::decode_request_routed(line) {
             Ok((req, session)) => self.handle_routed(session.as_deref(), &req),
-            Err(e) => error_response(&e),
+            Err(e) => Response::error(&e),
         };
         wire::encode_response(&resp)
     }
@@ -524,10 +524,6 @@ pub fn validate_session_name(name: &str) -> Result<(), ServiceError> {
         )));
     }
     Ok(())
-}
-
-fn error_response(e: &ServiceError) -> Response {
-    Response::Error { code: e.code().to_string(), message: e.to_string() }
 }
 
 // ---------------------------------------------------------------------------
@@ -671,7 +667,7 @@ pub fn serve(cfg: &NetConfig, template: Instance) -> Result<ServeReport, Service
 /// dropping the stream closes it.
 fn reject_connection(mut stream: TcpStream, cap: usize) {
     let err = ServiceError::protocol(format!("connection limit reached (--max-connections {cap})"));
-    let line = wire::encode_response(&error_response(&err));
+    let line = wire::encode_response(&Response::error(&err));
     let _ = writeln!(stream, "{line}");
     let _ = stream.flush();
 }
@@ -735,16 +731,16 @@ pub fn serve_lines<R: Read, W: Write>(
                 let err = ServiceError::protocol(format!(
                     "request line exceeds --max-line-bytes ({max_line_bytes})"
                 ));
-                (wire::encode_response(&error_response(&err)), false, None)
+                (wire::encode_response(&Response::error(&err)), false, None)
             }
             Ok(NetRead::IdleTimeout) => {
                 let err = ServiceError::protocol("idle timeout; closing connection");
-                (wire::encode_response(&error_response(&err)), true, None)
+                (wire::encode_response(&Response::error(&err)), true, None)
             }
             Ok(NetRead::Eof | NetRead::Shutdown) => return Ok((answered, None)),
             Err(e) => {
                 let err = ServiceError::from(e);
-                (wire::encode_response(&error_response(&err)), true, Some(err))
+                (wire::encode_response(&Response::error(&err)), true, Some(err))
             }
         };
         writeln!(out, "{resp}")?;

@@ -5,15 +5,11 @@
 //! scheduler names to constructors. [`SchedulerRegistry`] replaces them:
 //! it lists the registered [`SchedulerKind`]s, resolves (aliased,
 //! case-insensitive) names through the single parser
-//! ([`SchedulerKind::parse`]), and runs entries through
-//! [`SchedulerKind::run_configured`] — the one dispatch table — so a
-//! result obtained via the registry is bit-identical to one obtained by
-//! calling the concrete scheduler directly.
+//! ([`SchedulerKind::parse`]), and hands out entries as kinds, which run
+//! through [`SchedulerKind::run_configured`] — the one dispatch table.
 
-use crate::common::{RunConfig, ScheduleResult, Scratch};
 use crate::SchedulerKind;
 use ses_core::error::ServiceError;
-use ses_core::model::Instance;
 
 /// Name → scheduler-kind registry (see the module docs). Entries are
 /// addressed by index, in registration order.
@@ -41,7 +37,7 @@ impl SchedulerRegistry {
 
     /// A registry over an explicit kind list (order is preserved and
     /// becomes the entry indexing).
-    pub fn from_kinds(kinds: impl IntoIterator<Item = SchedulerKind>) -> Self {
+    fn from_kinds(kinds: impl IntoIterator<Item = SchedulerKind>) -> Self {
         Self { kinds: kinds.into_iter().collect() }
     }
 
@@ -93,23 +89,6 @@ impl SchedulerRegistry {
         self.kinds.iter().position(|&k| k == kind)
     }
 
-    /// Runs entry `idx` with full configuration control — exactly
-    /// [`SchedulerKind::run_configured`]: same schedule, utility bits,
-    /// [`Stats`], and canonical `algorithm` label (`HOR+LS` rather than the
-    /// `Refined` wrapper's internal `REFINED`).
-    ///
-    /// [`Stats`]: ses_core::stats::Stats
-    pub fn run(
-        &self,
-        idx: usize,
-        inst: &Instance,
-        k: usize,
-        cfg: RunConfig,
-        scratch: &mut Scratch,
-    ) -> ScheduleResult {
-        self.kinds[idx].run_configured(inst, k, cfg, scratch)
-    }
-
     /// Entry indices of the paper's six-method evaluation lineup (§4.1),
     /// in plot order — the subset the CLI and harness default to.
     pub fn paper_indices(&self) -> Vec<usize> {
@@ -126,6 +105,7 @@ impl Default for SchedulerRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{RunConfig, Scratch};
     use ses_core::model::running_example;
     use ses_core::parallel::Threads;
 
@@ -167,7 +147,7 @@ mod tests {
         let cfg = RunConfig::threaded(Threads::sequential());
         let mut scratch = Scratch::new();
         for idx in (0..reg.len()).chain(0..reg.len()) {
-            let via_registry = reg.run(idx, &inst, 3, cfg, &mut scratch);
+            let via_registry = reg.kind(idx).run_configured(&inst, 3, cfg, &mut scratch);
             let direct = reg.kind(idx).run_configured(&inst, 3, cfg, &mut Scratch::new());
             assert_eq!(via_registry.algorithm, direct.algorithm);
             assert_eq!(via_registry.schedule.assignments(), direct.schedule.assignments());

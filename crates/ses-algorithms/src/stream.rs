@@ -26,8 +26,8 @@
 //!   *sound upper bound*; exactness (bit-identity) is restored only by a
 //!   real refresh.
 //!
-//! The selection loop then re-runs with INC-style bound maintenance
-//! (§3.2's Corollary 1) seeded from the table: bound-only entries are
+//! Selection then re-runs INC's own selection core (`inc::Selection`,
+//! §3.2's Corollary 1) seeded from the table: bound-only entries are
 //! refreshed lazily, exactly when their bound could still win a round, and
 //! a refresh that lands on a still-virgin span is written back to the
 //! table as exact — repeated repairs converge back to a fully exact cache.
@@ -44,30 +44,20 @@
 //! a repair's `assignments_examined` stays strictly below a recompute's
 //! (which must rescore all `|E|·|T|` cells) for every single-op delta.
 
-use crate::common::{
-    better, max_duration, reset_interval_lists, stale_window, Cand, Entry, IntervalList, Scratch,
-};
+use crate::common::{better, score_cell, score_table, Cand, Scratch, TableEntry};
+use crate::inc::Selection;
 use serde::{Deserialize, Serialize};
 use ses_core::delta::coalesce::CoalesceError;
 use ses_core::delta::{self, DeltaEffect, DeltaOp};
 use ses_core::error::{DeltaError, ServiceError};
 use ses_core::model::Instance;
-use ses_core::parallel::{par_chunks_mut, Threads};
+use ses_core::parallel::Threads;
 use ses_core::schedule::Schedule;
 use ses_core::scoring::utility::total_utility;
 use ses_core::scoring::{ScoringEngine, StaticCaches, WarmCacheState};
 use ses_core::stats::Stats;
 use ses_core::{EventId, IntervalId};
 use std::time::Instant;
-
-/// One cached empty-schedule score-table cell.
-#[derive(Debug, Clone, Copy)]
-struct TableEntry {
-    /// The empty-schedule assignment score — exact, or an upper bound.
-    score: f64,
-    /// Whether `score` is the exact blocked-reduction value.
-    exact: bool,
-}
 
 /// Measurements of one repair (or of the cold build, for the first
 /// report): what it cost and what it produced.
@@ -198,8 +188,11 @@ impl StreamScheduler {
         };
         let engine = ScoringEngine::with_threads(inst, threads);
         stream.repair(inst, engine, start, 0, Stats::default(), |table, engine| {
-            *table = score_table_full(engine, threads);
-            table.iter().flatten().count()
+            score_table(engine, false, table);
+            // Every cell the cold build scores counts as examined.
+            let scored = table.iter().flatten().count();
+            engine.stats_mut().record_examined(scored as u64);
+            scored
         });
         stream
     }
@@ -429,7 +422,7 @@ impl StreamScheduler {
         table_step: impl FnOnce(&mut Vec<Option<TableEntry>>, &mut ScoringEngine<'_>) -> usize,
     ) -> &RepairReport {
         let rescored = rescored + table_step(&mut self.table, &mut engine);
-        let schedule = run_selection(inst, &mut engine, &mut self.table, self.k, &mut self.scratch);
+        let schedule = run_selection(&mut engine, &mut self.table, self.k, &mut self.scratch);
         let stats = *engine.stats() + prior;
         self.keep_warm_parts(engine);
         self.utility = total_utility(inst, &schedule);
@@ -619,19 +612,9 @@ fn reconcile_validity(
             match (&table[idx], valid) {
                 (None, true) => {
                     engine.stats_mut().record_examined(1);
-                    table[idx] = if gate {
-                        engine.stats_mut().record_bound_skip();
-                        Some(TableEntry {
-                            score: engine.score_bound(event, interval),
-                            exact: false,
-                        })
-                    } else {
-                        rescored += 1;
-                        Some(TableEntry {
-                            score: engine.assignment_score(event, interval),
-                            exact: true,
-                        })
-                    };
+                    let cell = score_cell(engine, event, interval, gate);
+                    rescored += usize::from(cell.exact);
+                    table[idx] = Some(cell);
                 }
                 (Some(_), false) => table[idx] = None,
                 _ => {}
@@ -639,52 +622,6 @@ fn reconcile_validity(
         }
     }
     rescored
-}
-
-/// Scores the full empty-schedule table. At `threads > 1` the rows fan out
-/// through the stat-free [`ScoringEngine::peek_score`] (the pool does not
-/// nest) and the `Stats` bookkeeping is replayed in the sequential pass's
-/// `(t, e)` order — the ALG candidate-generation pattern.
-fn score_table_full(engine: &mut ScoringEngine<'_>, threads: Threads) -> Vec<Option<TableEntry>> {
-    let inst = engine.instance();
-    let (num_e, num_t) = (inst.num_events(), inst.num_intervals());
-    let probe = Schedule::new(inst);
-    let mut table: Vec<Option<TableEntry>> = vec![None; num_e * num_t];
-    if threads.is_sequential() || num_t < 2 {
-        for t in 0..num_t {
-            let interval = IntervalId::new(t);
-            for e in 0..num_e {
-                let event = EventId::new(e);
-                if probe.is_valid_assignment(inst, event, interval) {
-                    engine.stats_mut().record_examined(1);
-                    let score = engine.assignment_score(event, interval);
-                    table[t * num_e + e] = Some(TableEntry { score, exact: true });
-                }
-            }
-        }
-    } else {
-        let eng: &ScoringEngine<'_> = engine;
-        par_chunks_mut(threads, &mut table, num_e, |t, row| {
-            let interval = IntervalId::new(t);
-            for (e, slot) in row.iter_mut().enumerate() {
-                let event = EventId::new(e);
-                if probe.is_valid_assignment(inst, event, interval) {
-                    *slot =
-                        Some(TableEntry { score: eng.peek_score(event, interval), exact: true });
-                }
-            }
-        });
-        for t in 0..num_t {
-            for e in 0..num_e {
-                if table[t * num_e + e].is_some() {
-                    engine.stats_mut().record_examined(1);
-                    let cost = engine.score_cost(EventId::new(e));
-                    engine.stats_mut().record_score(cost);
-                }
-            }
-        }
-    }
-    table
 }
 
 /// Rescores one event's `|T|` table cells (the engine's scheduled mass must
@@ -710,13 +647,9 @@ fn rescore_event_column(
         let interval = IntervalId::new(t);
         table[t * num_e + event.index()] = if probe.is_valid_assignment(inst, event, interval) {
             engine.stats_mut().record_examined(1);
-            if gate {
-                engine.stats_mut().record_bound_skip();
-                Some(TableEntry { score: engine.score_bound(event, interval), exact: false })
-            } else {
-                scored += 1;
-                Some(TableEntry { score: engine.assignment_score(event, interval), exact: true })
-            }
+            let cell = score_cell(engine, event, interval, gate);
+            scored += usize::from(cell.exact);
+            Some(cell)
         } else {
             None
         };
@@ -839,145 +772,86 @@ fn maintain_table(
     }
 }
 
-/// Selection-phase state: INC's interval-organized machinery (the shared
-/// [`IntervalList`] shape) plus the virgin-span tracking that lets
-/// refreshes flow back into the table.
-struct RunState<'a, 'b, 'e> {
-    inst: &'a Instance,
-    engine: &'e mut ScoringEngine<'b>,
-    table: &'e mut [Option<TableEntry>],
-    schedule: Schedule,
-    lists: &'e mut Vec<IntervalList>,
-    /// `M`: per interval, the top updated & valid assignment.
-    m: &'e mut Vec<Option<Cand>>,
-    /// Whether no scheduled mass has been applied to the interval yet — a
-    /// refresh whose whole span is virgin equals the empty-schedule score
-    /// and is written back to the table as exact.
-    virgin: &'e mut Vec<bool>,
-}
+/// The repairer's Corollary-1 update pass for one interval (INC's walk),
+/// with two twists: only *stale* entries are examined (an updated entry is
+/// capped by `M[i]`, which Φ already covers, so passing over it is free),
+/// and a refresh landing on a still-virgin span — no event placed on any
+/// of its intervals yet — equals the empty-schedule score and is written
+/// back to the score table as exact.
+fn update_interval(
+    sel: &mut Selection<'_, '_>,
+    table: &mut [Option<TableEntry>],
+    i: usize,
+    mut phi: Option<Cand>,
+) -> Option<Cand> {
+    let interval = IntervalId::new(i);
+    let num_e = sel.inst.num_events();
 
-impl RunState<'_, '_, '_> {
-    /// Re-derives `M[i]`: the first updated & valid entry in sorted order,
-    /// dropping invalid entries encountered on the way.
-    fn refresh_m(&mut self, i: usize) {
-        let interval = IntervalId::new(i);
-        let mut found = None;
-        let mut idx = 0;
-        while idx < self.lists[i].entries.len() {
-            let ent = self.lists[i].entries[idx];
-            if !self.schedule.is_valid_assignment(self.inst, ent.event, interval) {
-                self.lists[i].entries.remove(idx);
-                continue;
-            }
-            if ent.updated {
-                found = Some(Cand::new(ent.score, interval, ent.event));
-                break;
-            }
-            idx += 1;
+    // Interval-level skip: even the best stale bound cannot reach Φ.
+    if let Some(p) = phi {
+        sel.engine.stats_mut().record_examined(1);
+        if sel.lists[i].front_stale_bound().is_none_or(|b| b < p.score) {
+            return phi;
         }
-        self.m[i] = found;
     }
 
-    /// The Corollary-1 update pass for one interval (INC's walk), with two
-    /// stream-specific twists: only *stale* entries are examined (an
-    /// updated entry is capped by `M[i]`, which Φ already covers, so
-    /// passing over it is free), and a refresh landing on a still-virgin
-    /// span is written back to the score table as exact.
-    fn update_interval(&mut self, i: usize, mut phi: Option<Cand>) -> Option<Cand> {
-        let interval = IntervalId::new(i);
-        let num_e = self.inst.num_events();
-
-        // Interval-level skip: even the best stale bound cannot reach Φ.
+    let mut idx = 0;
+    let mut any_refresh = false;
+    while idx < sel.lists[i].entries.len() {
+        let ent = sel.lists[i].entries[idx];
         if let Some(p) = phi {
-            self.engine.stats_mut().record_examined(1);
-            if self.lists[i].front_stale_bound().is_none_or(|b| b < p.score) {
-                return phi;
+            if ent.score < p.score {
+                break; // sorted: everything below is below Φ too
             }
         }
-
-        let mut idx = 0;
-        let mut any_refresh = false;
-        while idx < self.lists[i].entries.len() {
-            let ent = self.lists[i].entries[idx];
-            if let Some(p) = phi {
-                if ent.score < p.score {
-                    break; // sorted: everything below is below Φ too
-                }
-            }
-            if ent.updated {
-                idx += 1;
-                continue;
-            }
-            self.engine.stats_mut().record_examined(1);
-            if !self.schedule.is_valid_assignment(self.inst, ent.event, interval) {
-                self.lists[i].entries.remove(idx);
-                continue;
-            }
-            let fresh = self.engine.assignment_score_update(ent.event, interval);
-            {
-                let e = &mut self.lists[i].entries[idx];
-                e.score = fresh;
-                e.updated = true;
-            }
-            any_refresh = true;
-            let d = self.inst.events[ent.event.index()].duration as usize;
-            if self.virgin[i..i + d].iter().all(|&v| v) {
-                self.table[i * num_e + ent.event.index()] =
-                    Some(TableEntry { score: fresh, exact: true });
-            }
-            phi = better(phi, Some(Cand::new(fresh, interval, ent.event)));
+        if ent.updated {
             idx += 1;
+            continue;
         }
-
-        if any_refresh {
-            self.lists[i].sort();
+        sel.engine.stats_mut().record_examined(1);
+        if !sel.schedule.is_valid_assignment(sel.inst, ent.event, interval) {
+            sel.lists[i].entries.remove(idx);
+            continue;
         }
-        self.lists[i].fully_updated = self.lists[i].entries.iter().all(|e| e.updated);
-        self.refresh_m(i);
-        phi
+        let fresh = sel.engine.assignment_score_update(ent.event, interval);
+        {
+            let e = &mut sel.lists[i].entries[idx];
+            e.score = fresh;
+            e.updated = true;
+        }
+        any_refresh = true;
+        let d = sel.inst.events[ent.event.index()].duration as usize;
+        if (i..i + d).all(|ti| sel.schedule.events_at(IntervalId::new(ti)).is_empty()) {
+            table[i * num_e + ent.event.index()] = Some(TableEntry { score: fresh, exact: true });
+        }
+        phi = better(phi, Some(Cand::new(fresh, interval, ent.event)));
+        idx += 1;
     }
+
+    if any_refresh {
+        sel.lists[i].sort();
+    }
+    sel.lists[i].fully_updated = sel.lists[i].entries.iter().all(|e| e.updated);
+    sel.refresh_m(i);
+    phi
 }
 
-/// Runs the greedy selection seeded from the score table: exact cells
-/// start updated, bound cells start stale and refresh lazily. Every round
+/// Runs INC's selection seeded from the score table: exact cells start
+/// updated, bound cells start stale and refresh lazily. Every round
 /// selects the true greedy argmax under the canonical tie-break, so the
 /// result equals a from-scratch INC run on the same instance.
 fn run_selection(
-    inst: &Instance,
     engine: &mut ScoringEngine<'_>,
     table: &mut [Option<TableEntry>],
     k: usize,
     scratch: &mut Scratch,
 ) -> Schedule {
-    let num_e = inst.num_events();
-    let num_t = inst.num_intervals();
-    let max_dur = max_duration(inst);
-    let Scratch { lists, m, pending, virgin, .. } = scratch;
-    reset_interval_lists(lists, m, num_t);
-    virgin.clear();
-    virgin.resize(num_t, true);
-    for (t, list) in lists.iter_mut().enumerate() {
-        list.entries.extend((0..num_e).filter_map(|e| {
-            table[t * num_e + e].map(|cell| Entry {
-                event: EventId::new(e),
-                score: cell.score,
-                updated: cell.exact,
-            })
-        }));
-        list.fully_updated = list.entries.iter().all(|e| e.updated);
-        list.sort();
-    }
-    let mut state =
-        RunState { inst, engine, table, schedule: Schedule::new(inst), lists, m, virgin };
-    for i in 0..num_t {
-        state.refresh_m(i);
-    }
-
-    while state.schedule.len() < k {
-        let mut phi: Option<Cand> = None;
-        for cand in state.m.iter().flatten() {
-            phi = better(phi, Some(*cand));
-        }
+    let num_t = engine.instance().num_intervals();
+    let Scratch { lists, m, pending, .. } = scratch;
+    // The table mixes exact and bound cells, so each list's own cells say
+    // whether it is fully updated.
+    let mut sel = Selection::seed(engine, table, false, lists, m);
+    sel.select(k, |sel, mut phi| {
         // Visit intervals whose best stale bound could still reach Φ, in
         // descending bound order so Φ tightens as early as possible.
         // (Φ only grows during the pass, so pre-filtering with the seeded
@@ -985,8 +859,8 @@ fn run_selection(
         pending.clear();
         pending.extend(
             (0..num_t)
-                .filter(|&i| !state.lists[i].fully_updated)
-                .filter_map(|i| state.lists[i].front_stale_bound().map(|b| (b, i)))
+                .filter(|&i| !sel.lists[i].fully_updated)
+                .filter_map(|i| sel.lists[i].front_stale_bound().map(|b| (b, i)))
                 .filter(|&(b, _)| phi.is_none_or(|p| b >= p.score)),
         );
         // total_cmp instead of partial_cmp: scores are finite here, but a
@@ -995,55 +869,10 @@ fn run_selection(
         // non-negative products, so the -0.0 < 0.0 distinction is moot).
         pending.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
         for &(_, i) in pending.iter() {
-            phi = state.update_interval(i, phi);
+            phi = update_interval(sel, table, i, phi);
         }
-
-        let mut chosen: Option<Cand> = None;
-        for cand in state.m.iter().flatten() {
-            chosen = better(chosen, Some(*cand));
-        }
-        let Some(chosen) = chosen else { break };
-        debug_assert!(
-            state.schedule.is_valid_assignment(inst, chosen.event, chosen.interval),
-            "M must only hold valid assignments"
-        );
-
-        state
-            .schedule
-            .assign(inst, chosen.event, chosen.interval)
-            .expect("selected assignment must be valid");
-        state.engine.apply(chosen.event, chosen.interval);
-        let placed_start = chosen.interval.index();
-        let placed_end = placed_start + inst.events[chosen.event.index()].duration as usize;
-        for ti in placed_start..placed_end {
-            state.virgin[ti] = false;
-        }
-
-        let span = stale_window(inst, max_dur, chosen.event, chosen.interval);
-        for ti in span.clone() {
-            let list = &mut state.lists[ti];
-            list.entries.retain(|e| e.event != chosen.event);
-            for e in &mut list.entries {
-                e.updated = false;
-            }
-            list.fully_updated = list.entries.is_empty();
-            state.m[ti] = None;
-        }
-        for i in 0..num_t {
-            if span.contains(&i) {
-                continue;
-            }
-            let needs_refresh = state.m[i].is_some_and(|c| {
-                c.event == chosen.event
-                    || !state.schedule.is_valid_assignment(state.inst, c.event, c.interval)
-            });
-            if needs_refresh {
-                state.refresh_m(i);
-            }
-        }
-    }
-
-    state.schedule
+    });
+    sel.schedule
 }
 
 #[cfg(test)]

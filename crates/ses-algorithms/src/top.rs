@@ -7,11 +7,14 @@
 //! interval's audience — which is why the paper observes it piling events
 //! into few intervals and reporting "considerably low utility scores".
 
-use crate::common::{timed_result, Cand, RunConfig, ScheduleResult, Scheduler, Scratch};
+use crate::common::{
+    score_table, timed_result, Cand, RunConfig, ScheduleResult, Scheduler, Scratch,
+};
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
 use ses_core::scoring::{EngineProfile, ScoringEngine};
 use ses_core::stats::Stats;
+use ses_core::{EventId, IntervalId};
 
 /// The TOP baseline (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,27 +30,35 @@ impl Scheduler for Top {
         inst: &Instance,
         k: usize,
         cfg: RunConfig,
-        _scratch: &mut Scratch,
+        scratch: &mut Scratch,
     ) -> ScheduleResult {
-        timed_result(self.name(), inst, k, || run_top(inst, k, cfg))
+        timed_result(self.name(), inst, k, || run_top(inst, k, cfg, scratch))
     }
 }
 
-fn run_top(inst: &Instance, k: usize, cfg: RunConfig) -> (Schedule, Stats, Option<EngineProfile>) {
+fn run_top(
+    inst: &Instance,
+    k: usize,
+    cfg: RunConfig,
+    scratch: &mut Scratch,
+) -> (Schedule, Stats, Option<EngineProfile>) {
     let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
     if cfg.profile {
         engine.enable_profiling();
     }
     let mut schedule = Schedule::new(inst);
+    let num_e = inst.num_events();
 
-    let mut cands: Vec<Cand> = Vec::with_capacity(inst.num_events() * inst.num_intervals());
-    for (event, interval) in inst.assignment_universe() {
-        if !schedule.is_valid_assignment(inst, event, interval) {
-            continue; // duration-extension guard: off-calendar spans
-        }
-        let score = engine.assignment_score(event, interval);
-        cands.push(Cand::new(score, interval, event));
-    }
+    score_table(&mut engine, false, &mut scratch.table);
+    let mut cands: Vec<Cand> = scratch
+        .table
+        .iter()
+        .enumerate()
+        .filter_map(|(idx, cell)| {
+            let (event, interval) = (EventId::new(idx % num_e), IntervalId::new(idx / num_e));
+            cell.map(|c| Cand::new(c.score, interval, event))
+        })
+        .collect();
     // Descending by the canonical order.
     cands.sort_unstable_by(|a, b| {
         if a.beats(b) {
@@ -78,7 +89,7 @@ mod tests {
     use super::*;
     use crate::alg::Alg;
     use ses_core::model::running_example;
-    use ses_core::{Assignment, EventId, IntervalId};
+    use ses_core::Assignment;
 
     #[test]
     fn performs_only_initial_computations() {

@@ -70,7 +70,7 @@ fn service_schedule_bit_identical_to_direct_runs() {
                     continue;
                 }
                 let via = service.schedule(name, 8, cfg).expect("registered name");
-                let direct = reg.run(idx, &inst, 8, cfg, &mut Scratch::new());
+                let direct = reg.kind(idx).run_configured(&inst, 8, cfg, &mut Scratch::new());
                 let label = format!("{}/{}/t{}", dataset.name(), name, threads.get());
                 assert_schedule_matches(&label, &via, &direct);
             }
@@ -88,7 +88,7 @@ fn service_exact_bit_identical_to_direct_run() {
         let via = service.schedule("exact", 3, cfg).unwrap();
         let reg = SchedulerRegistry::standard();
         let idx = reg.resolve("exact").unwrap();
-        let direct = reg.run(idx, &inst, 3, cfg, &mut Scratch::new());
+        let direct = reg.kind(idx).run_configured(&inst, 3, cfg, &mut Scratch::new());
         assert_schedule_matches(&format!("Zip-exact/t{}", threads.get()), &via, &direct);
     }
 }
@@ -114,7 +114,7 @@ fn warm_service_stable_across_hundreds_of_requests() {
     for cfg in configs {
         for name in &lineup {
             let idx = reg.resolve(name).unwrap();
-            reference.push(reg.run(idx, &inst, 7, cfg, &mut Scratch::new()));
+            reference.push(reg.kind(idx).run_configured(&inst, 7, cfg, &mut Scratch::new()));
         }
     }
 
@@ -175,8 +175,7 @@ fn service_repair_bit_identical_to_direct_stream() {
                     // repairer nor be disturbed by it.
                     let via = service.schedule("inc", 6, cfg).unwrap();
                     let reg = SchedulerRegistry::standard();
-                    let direct_inc = reg.run(
-                        reg.resolve("inc").unwrap(),
+                    let direct_inc = reg.kind(reg.resolve("inc").unwrap()).run_configured(
                         &direct_inst,
                         6,
                         cfg,
