@@ -10,12 +10,18 @@
 //!   acceptance bar `compressed ≤ sparse / 3` before recording;
 //! * steady-state work on the compressed layout: one Eq.-4
 //!   `assignment_score` (t1/t4, bit-identical across the dimension) and
-//!   one INC end-to-end schedule.
+//!   one INC end-to-end schedule;
+//! * one point edit through `delta::apply`: `shift_interest` alternates a
+//!   stored cell between two non-zero values (an overwrite in place; the
+//!   sparse layout is the reference), and `shift_interest_toggle` flips a
+//!   cell of a full compressed block between zero and non-zero, so every
+//!   iteration converts that block between full and partial.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ses_algorithms::SchedulerKind;
 use ses_bench::{record_gauge, threaded_label, Threads, BENCH_THREADS};
-use ses_core::model::StorageKind;
+use ses_core::delta::{self, DeltaOp};
+use ses_core::model::{Instance, StorageKind, COMPRESSED_BLOCK};
 use ses_core::scoring::ScoringEngine;
 use ses_core::{EventId, IntervalId};
 use ses_datasets::{scale, InterestModel, SyntheticParams};
@@ -58,7 +64,6 @@ fn bench(c: &mut Criterion) {
     record_gauge("scale_100k/heap_bytes/sparse", sb as u64);
     record_gauge("scale_100k/heap_bytes/compressed", cb as u64);
     record_gauge("scale_100k/heap_bytes/instance_compressed", compressed.heap_bytes() as u64);
-    drop(sparse);
 
     for threads in BENCH_THREADS {
         let t = threaded_label("compressed", threads);
@@ -75,7 +80,49 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("inc_end_to_end", "compressed/t4"), &K, |b, &k| {
         b.iter(|| black_box(SchedulerKind::Inc.run_threaded(&compressed, k, Threads::new(4))))
     });
+
+    // Point edits are microseconds: one iteration per sample, many samples.
+    group.sample_size(51);
+    for (name, inst) in [("sparse", &sparse), ("compressed", &compressed)] {
+        let mut live = inst.clone();
+        let (user, first) = live.event_interest.column(0).next().expect("event 0 has interest");
+        let second = if first == 0.5 { 0.25 } else { 0.5 };
+        let mut flip = false;
+        group.bench_with_input(BenchmarkId::new("shift_interest", name), &user, |b, &user| {
+            b.iter(|| {
+                flip = !flip;
+                shift(&mut live, user, if flip { second } else { first });
+            })
+        });
+    }
+    drop(sparse);
+
+    // Fill block 0 of event 0, then flip one of its cells: each iteration
+    // turns the full block partial (511 offsets spliced in) or back.
+    let mut live = compressed.clone();
+    for user in 0..COMPRESSED_BLOCK {
+        if live.event_interest.value(0, user) == 0.0 {
+            shift(&mut live, user, 0.5);
+        }
+    }
+    let mut zeroed = false;
+    group.bench_with_input(
+        BenchmarkId::new("shift_interest_toggle", "compressed"),
+        &7usize,
+        |b, &user| {
+            b.iter(|| {
+                zeroed = !zeroed;
+                shift(&mut live, user, if zeroed { 0.0 } else { 0.5 });
+            })
+        },
+    );
     group.finish();
+}
+
+/// Applies one `ShiftInterest` on event 0.
+fn shift(inst: &mut Instance, user: usize, interest: f64) {
+    let op = DeltaOp::ShiftInterest { event: EventId::new(0), user, interest };
+    black_box(delta::apply(inst, &op).expect("valid shift"));
 }
 
 criterion_group!(benches, bench);

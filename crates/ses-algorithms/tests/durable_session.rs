@@ -18,7 +18,7 @@ use ses_algorithms::service::durable::{inspect, DurableService};
 use ses_algorithms::service::{wire, Query, Request, Response, SesService};
 use ses_core::delta::DeltaOp;
 use ses_core::durable::{generations, read_wal, wal_generations};
-use ses_core::model::Instance;
+use ses_core::model::{Instance, InterestMatrix, StorageKind};
 use ses_core::parallel::Threads;
 use ses_core::EventId;
 use ses_datasets::ops::{self, OpStreamParams};
@@ -462,6 +462,126 @@ fn structural_holes_are_loud() {
     let err = DurableService::open(&dir, base_instance(), T1(), 0).unwrap_err();
     assert_eq!(err.code(), "corrupt", "{err}");
     fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Compressed storage: point edits and the dictionary compaction rule
+// ---------------------------------------------------------------------
+
+/// A 2 000-user session on compressed interest storage (16 levels).
+fn compressed_instance() -> Instance {
+    let mut inst = synthetic::generate(&SyntheticParams {
+        k: 0,
+        num_events: 6,
+        num_intervals: 3,
+        num_users: 2_000,
+        competing_per_interval: (1, 2),
+        num_locations: 3,
+        resources: 8.0,
+        max_required_resources: 4.0,
+        interest: InterestModel::Uniform,
+        activity: ActivityModel::Uniform,
+        seed: 0xC0DE,
+        interest_levels: 16,
+    });
+    inst.event_interest = inst.event_interest.convert_to(StorageKind::Compressed);
+    inst.competing_interest = inst.competing_interest.convert_to(StorageKind::Compressed);
+    inst
+}
+
+/// Cold drift and a user retirement, then a shift-heavy tail: 1 200 `ShiftInterest`s (50 per
+/// request) cycle four cells through fresh values. Each edit appends one
+/// dictionary value and kills the cell's previous one, so the dictionary
+/// reaches 1 024 entries, mostly dead, and the compaction rule fires.
+fn compressed_transcript(base: &Instance) -> Vec<Request> {
+    // Unquantized drift plus one structural op. (Event or user arrivals
+    // would add ~2 000 live values and keep the dictionary mostly live.)
+    let mut churn = ops::generate(
+        base,
+        &OpStreamParams::default().with_ops(6).with_churn(0.0).with_seed(0xC0C0),
+    );
+    churn.push(DeltaOp::RetireUsers { users: vec![3, 1_500] });
+    let shifts: Vec<DeltaOp> = (0..1_200)
+        .map(|i| DeltaOp::ShiftInterest {
+            event: EventId::new(i % 2),
+            user: 5 + 517 * (i % 4),
+            interest: (i + 1) as f64 / 4096.0,
+        })
+        .collect();
+    let mut reqs = vec![
+        Request::Schedule {
+            algorithm: "INC".into(),
+            k: 3,
+            threads: None,
+            gate: false,
+            profile: false,
+            constraints: None,
+        },
+        Request::ApplyOps { ops: churn, window: None },
+    ];
+    reqs.extend(shifts.chunks(50).map(|c| Request::ApplyOps { ops: c.to_vec(), window: None }));
+    reqs
+}
+
+fn dict_len(svc: &SesService) -> usize {
+    match &svc.instance().event_interest {
+        InterestMatrix::Compressed(c) => c.dict_len(),
+        other => panic!("storage changed to {}", other.storage_kind()),
+    }
+}
+
+/// Point edits keep dead dictionary entries until the compaction rule
+/// re-encodes, and both are functions of the serialized state alone: a
+/// durable compressed session restarted from snapshot + WAL (with and
+/// without intermediate snapshots) writes the same `to_state` bytes and
+/// answers `Snapshot` byte-identically, `heap_bytes` included; an
+/// independent copy fed the same requests serializes identically too.
+/// (The transcript is all mutating requests: read-only ones are not
+/// logged, so they would not count in a restarted `requests_handled`.)
+#[test]
+fn compressed_sessions_replay_point_edits_deterministically() {
+    let base = compressed_instance();
+    let reqs = compressed_transcript(&base);
+    let mut copy = SesService::new(base.clone()).with_threads(T1());
+    let mut answers = Vec::new();
+    let mut dicts = vec![dict_len(&copy)];
+    for r in &reqs {
+        answers.push(wire::encode_response(&copy.handle(r)));
+        dicts.push(dict_len(&copy));
+    }
+    assert!(answers.iter().all(|a| !a.contains("\"Error\"")), "a request failed");
+    let peak = *dicts.iter().max().unwrap();
+    assert!(peak >= 1_000, "the tail must grow the dictionary near 1 024, peaked at {peak}");
+    assert!(dicts.windows(2).any(|w| w[1] < w[0]), "the compaction rule never fired: {dicts:?}");
+    let copy_state = serde_json::to_string(&copy.to_state()).unwrap();
+    let snapshot = wire::encode_response(&copy.handle(&Request::Snapshot));
+    assert!(snapshot.contains("\"heap_bytes\""), "{snapshot}");
+
+    for snapshot_every in [0, 4] {
+        let dir = tmpdir(&format!("compressed-{snapshot_every}"));
+        let (mut svc, _) = DurableService::open(&dir, base.clone(), T1(), snapshot_every).unwrap();
+        for (i, r) in reqs.iter().enumerate() {
+            assert_eq!(wire::encode_response(&svc.handle(r)), answers[i], "request {i}");
+        }
+        let state = serde_json::to_string(&svc.service().to_state()).unwrap();
+        assert_eq!(state, copy_state, "every {snapshot_every}: copies serialize differently");
+        assert_eq!(wire::encode_response(&svc.handle(&Request::Snapshot)), snapshot);
+        drop(svc);
+
+        let (mut svc, report) =
+            DurableService::open(&dir, base.clone(), T1(), snapshot_every).unwrap();
+        assert!(!report.fresh);
+        assert_eq!(report.torn, None);
+        let restarted = serde_json::to_string(&svc.service().to_state()).unwrap();
+        assert_eq!(restarted, copy_state, "every {snapshot_every}: restarted state diverged");
+        assert_eq!(
+            wire::encode_response(&svc.handle(&Request::Snapshot)),
+            snapshot,
+            "every {snapshot_every}: restarted Snapshot diverged"
+        );
+        drop(svc);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 // ---------------------------------------------------------------------

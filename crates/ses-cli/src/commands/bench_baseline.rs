@@ -10,11 +10,11 @@
 //!
 //! **Check mode** (`--check FACTOR`): runs the targets fresh (or, with
 //! `--from FILE`, reuses the last run recorded in FILE) and compares each
-//! benchmark's median against the *last recorded run* in the baseline
-//! file. Exits non-zero if any shared benchmark regressed by more than
-//! `FACTOR`× — the CI perf-smoke gate (generous factors absorb noisy
-//! runners and runner-vs-recording-machine hardware gaps; the CI gate
-//! uses 2.0).
+//! benchmark's median against the *most recent recorded run that holds
+//! it* in the baseline file. Exits non-zero if any benchmark regressed by
+//! more than `FACTOR`× — the CI perf-smoke gate (generous factors absorb
+//! noisy runners and runner-vs-recording-machine hardware gaps; the CI
+//! gate uses 2.0).
 
 use crate::args::Args;
 use serde::{Deserialize, Serialize};
@@ -195,16 +195,19 @@ fn record_run(
     std::fs::write(out, json + "\n").map_err(|e| format!("cannot write {}: {e}", out.display()))
 }
 
-/// Compares fresh results against the last recorded run; errors if any
-/// shared benchmark's median regressed by more than `factor`×.
+/// Compares each fresh result against the most recent recorded run that
+/// holds its id (runs record different target sets); errors if any
+/// benchmark's median regressed by more than `factor`×.
 fn check_regressions(out: &Path, fresh: &[BenchResult], factor: f64) -> Result<(), String> {
     let file = load_baseline(out)?
         .ok_or_else(|| format!("--check needs a committed baseline at {}", out.display()))?;
-    let prev = file.runs.last().ok_or("baseline file holds no runs")?;
     let mut regressions = Vec::new();
     let mut compared = 0usize;
     for f in fresh {
-        let Some(p) = prev.results.iter().find(|p| p.id == f.id) else { continue };
+        let Some(p) = file.runs.iter().rev().find_map(|r| r.results.iter().find(|p| p.id == f.id))
+        else {
+            continue;
+        };
         compared += 1;
         let ratio = f.median_ns as f64 / p.median_ns.max(1) as f64;
         let verdict = if ratio > factor { "REGRESSED" } else { "ok" };

@@ -23,18 +23,31 @@
 //! the sparse layout stores — same values (codes are exact `f64` bit
 //! patterns, never re-derived), same ascending-user order, same positional
 //! indexing for `column_part`. The cached column sum is the identical
-//! flat left-to-right [`stored_sum`] over the decoded sequence. So every
-//! consumer of the `InterestMatrix` API — the fused scoring kernel, the
-//! delta layer, the stream repairer, the constraint gate — produces the
-//! same output bits on `Compressed` as on `Sparse`, at any thread count.
+//! flat left-to-right [`stored_sum`](super::interest::stored_sum) over the
+//! decoded sequence. So every consumer of the `InterestMatrix` API — the
+//! fused scoring kernel, the delta layer, the stream repairer, the
+//! constraint gate — produces the same output bits on `Compressed` as on
+//! `Sparse`, at any thread count.
 //!
-//! Mutations favour correctness over speed: `push_item` appends
-//! incrementally (the streaming-generation hot path), while point edits
-//! (`set_value`, `remove_item`, user churn) decode and re-encode the
-//! matrix, re-interning the dictionary in canonical first-use order. Delta
-//! streams run at test scale; the million-user path is build-once.
+//! **Mutation.** `push_item` appends one column incrementally (the
+//! streaming-generation hot path). A point edit (`set_value`, the path of
+//! every `ShiftInterest`) rewrites only the touched 512-user block: it
+//! overwrites a stored code, or splices one code (plus one `u16` offset
+//! in a partial block) in or out, converting between full and partial
+//! blocks and adding or dropping the block as needed, then shifts the
+//! later blocks' starts and the pointer tails and refreshes that one
+//! column's cached sum. New values are interned into the existing
+//! dictionary and never renumbered, so a point edit can leave dead
+//! dictionary entries behind. The O(nnz) ops (`remove_item`, user churn,
+//! [`CompressedInterest::canonicalize`]) decode and re-encode the matrix,
+//! re-interning the dictionary in canonical first-use order, which drops
+//! dead entries. A point edit runs that re-encode itself on one fixed rule
+//! (see [`COMPACT_MIN_DICT`]) that reads only serialized fields, so a
+//! snapshot load plus a log replay rebuilds the same bytes. Two histories
+//! can therefore hold the same values in different dictionary orders;
+//! equality compares decoded values, not encodings.
 
-use super::interest::{stored_sum, user_keep_mask};
+use super::interest::user_keep_mask;
 use crate::parallel::PAR_BLOCK;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -43,6 +56,14 @@ use std::collections::HashMap;
 /// constant so the shard unit of a future multi-process split matches the
 /// sweep geometry.
 pub const COMPRESSED_BLOCK: usize = PAR_BLOCK;
+
+/// The dead-code compaction rule. When a point edit appends a value that
+/// brings the dictionary to a power of two of at least this size, the
+/// matrix counts its live codes in one pass and re-encodes canonically if
+/// dead entries outnumber live ones. Dictionaries of quantized data never
+/// get there; an unbounded stream of fresh values keeps the dictionary
+/// below twice its live size plus this floor.
+pub const COMPACT_MIN_DICT: usize = 1024;
 
 /// The physical layout of an interest matrix, selectable per instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -116,19 +137,51 @@ impl CodeVec {
         }
     }
 
+    /// Promotes narrow → wide if `code` doesn't fit `u16`.
+    fn widen_for(&mut self, code: u32) {
+        if let Self::Narrow(v) = self {
+            if code > u16::MAX as u32 {
+                *self = Self::Wide(v.iter().map(|&c| c as u32).collect());
+            }
+        }
+    }
+
     /// Appends one code, promoting narrow → wide on the first code that
     /// doesn't fit.
     fn push(&mut self, code: u32) {
-        if let Self::Narrow(v) = self {
-            if let Ok(c) = u16::try_from(code) {
-                v.push(c);
-                return;
-            }
-            *self = Self::Wide(v.iter().map(|&c| c as u32).collect());
-        }
+        self.widen_for(code);
         match self {
+            Self::Narrow(v) => v.push(code as u16),
             Self::Wide(v) => v.push(code),
-            Self::Narrow(_) => unreachable!("narrow path returned above"),
+        }
+    }
+
+    /// Overwrites the code at `i`, promoting if it doesn't fit.
+    fn set(&mut self, i: usize, code: u32) {
+        self.widen_for(code);
+        match self {
+            Self::Narrow(v) => v[i] = code as u16,
+            Self::Wide(v) => v[i] = code,
+        }
+    }
+
+    /// Inserts a code at `i`, promoting if it doesn't fit.
+    fn insert(&mut self, i: usize, code: u32) {
+        self.widen_for(code);
+        match self {
+            Self::Narrow(v) => v.insert(i, code as u16),
+            Self::Wide(v) => v.insert(i, code),
+        }
+    }
+
+    fn remove(&mut self, i: usize) {
+        match self {
+            Self::Narrow(v) => {
+                v.remove(i);
+            }
+            Self::Wide(v) => {
+                v.remove(i);
+            }
         }
     }
 
@@ -197,7 +250,12 @@ impl Interner {
 
 /// Dictionary-encoded, 512-aligned block-compressed interest storage. See
 /// the module docs for the layout and the bit-identity argument.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Equality is value equality: the same shape, the same decoded
+/// `(user, µ bits)` sequence per column and the same cached-sum bits. Two
+/// matrices built by different edit histories can be equal while their
+/// dictionaries differ in order or in dead entries.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CompressedInterest {
     num_users: usize,
     /// Distinct non-zero values, in first-use (encode-order) position; codes
@@ -215,7 +273,8 @@ pub struct CompressedInterest {
     /// `entry_ptr[item]..entry_ptr[item+1]` delimits item's entries.
     entry_ptr: Vec<usize>,
     /// Cached per-item column sums — the same bitwise left-to-right
-    /// [`stored_sum`] invariant as the dense and sparse layouts.
+    /// [`stored_sum`](super::interest::stored_sum) invariant as the dense
+    /// and sparse layouts.
     col_sums: Vec<f64>,
 }
 
@@ -520,9 +579,9 @@ impl CompressedInterest {
     }
 
     /// Rebuilds in place from decoded columns, re-interning the dictionary
-    /// in canonical first-use order (dead codes from prior removals are
-    /// dropped). All point mutations funnel through here — correctness over
-    /// speed; see the module docs.
+    /// in canonical first-use order (dead codes left by point edits are
+    /// dropped). The O(nnz) mutations funnel through here; see the module
+    /// docs.
     fn rebuild_from(&mut self, num_users: usize, columns: Vec<Vec<(u32, f64)>>) {
         let mut fresh = Self::empty(num_users);
         let mut interner = Interner::default();
@@ -542,20 +601,180 @@ impl CompressedInterest {
 
     /// Sets one value, preserving the drop-exact-zeros convention. See
     /// [`super::InterestMatrix::set_value`].
+    ///
+    /// Rewrites only the touched block (see the module docs): a stored cell
+    /// gets its code overwritten; otherwise one entry is spliced in or out.
+    /// The column's cached sum is refolded over its decoded entries, so it
+    /// stays bitwise the [`stored_sum`](super::interest::stored_sum) a
+    /// re-encode would compute.
     pub fn set_value(&mut self, item: usize, user: usize, value: f64) {
         assert!(item < self.num_items(), "item {item} out of range");
         assert!(user < self.num_users, "user {user} out of range");
-        let mut cols = self.decode_columns();
-        let col = &mut cols[item];
-        match col.binary_search_by_key(&(user as u32), |&(u, _)| u) {
-            Ok(i) if value != 0.0 => col[i].1 = value,
-            Ok(i) => {
-                col.remove(i);
+        let (lo, hi) = (self.block_ptr[item], self.block_ptr[item + 1]);
+        let want = (user / COMPRESSED_BLOCK) as u32;
+        let local = user % COMPRESSED_BLOCK;
+        let grew = match self.blocks[lo..hi].binary_search_by_key(&want, |b| b.block) {
+            Ok(rel) => {
+                let bi = lo + rel;
+                let b = self.blocks[bi];
+                let slot = if b.is_full() {
+                    Ok(local)
+                } else {
+                    self.offsets[b.offset_start..b.offset_start + b.len as usize]
+                        .binary_search(&(local as u16))
+                };
+                match slot {
+                    Ok(i) if value != 0.0 => {
+                        let (code, grew) = self.intern(value);
+                        self.codes.set(b.entry_start + i, code);
+                        grew
+                    }
+                    Ok(i) => {
+                        self.remove_entry(item, bi, i);
+                        false
+                    }
+                    Err(_) if value == 0.0 => return,
+                    Err(i) => {
+                        let (code, grew) = self.intern(value);
+                        self.insert_entry(item, bi, i, local as u16, code);
+                        grew
+                    }
+                }
             }
-            Err(_) if value == 0.0 => {}
-            Err(i) => col.insert(i, (user as u32, value)),
+            Err(_) if value == 0.0 => return,
+            Err(rel) => {
+                let (code, grew) = self.intern(value);
+                self.insert_block(item, lo + rel, want, local as u16, code);
+                grew
+            }
+        };
+        self.col_sums[item] = self.fold_column(item);
+        if grew {
+            self.compact_if_mostly_dead();
         }
-        self.rebuild_from(self.num_users, cols);
+    }
+
+    /// The code of `value`, appending it to the dictionary if new (the
+    /// flag). A linear scan: the matrix keeps no hash index, and quantized
+    /// dictionaries hold a few hundred values.
+    fn intern(&mut self, value: f64) -> (u32, bool) {
+        let bits = value.to_bits();
+        match self.dict.iter().position(|v| v.to_bits() == bits) {
+            Some(code) => (code as u32, false),
+            None => {
+                self.dict.push(value);
+                ((self.dict.len() - 1) as u32, true)
+            }
+        }
+    }
+
+    /// Removes entry `i` of block `bi` (of `item`). A full block turns
+    /// partial and gains explicit offsets; a block losing its last entry
+    /// leaves the directory.
+    fn remove_entry(&mut self, item: usize, bi: usize, i: usize) {
+        let b = self.blocks[bi];
+        self.codes.remove(b.entry_start + i);
+        let offsets_delta = if b.is_full() {
+            let gone = i as u16;
+            let users = (0..COMPRESSED_BLOCK as u16).filter(|&o| o != gone);
+            self.offsets.splice(b.offset_start..b.offset_start, users);
+            COMPRESSED_BLOCK as isize - 1
+        } else {
+            self.offsets.remove(b.offset_start + i);
+            -1
+        };
+        if b.len == 1 {
+            self.blocks.remove(bi);
+            self.shift_tail(item, bi, -1, offsets_delta, -1);
+        } else {
+            self.blocks[bi].len -= 1;
+            self.shift_tail(item, bi + 1, -1, offsets_delta, 0);
+        }
+    }
+
+    /// Inserts `code` for user offset `local` at position `i` of partial
+    /// block `bi` (of `item`). A block that fills up drops its offsets.
+    fn insert_entry(&mut self, item: usize, bi: usize, i: usize, local: u16, code: u32) {
+        let b = self.blocks[bi];
+        self.codes.insert(b.entry_start + i, code);
+        let len = b.len as usize;
+        let offsets_delta = if len + 1 == COMPRESSED_BLOCK {
+            self.offsets.drain(b.offset_start..b.offset_start + len);
+            -(len as isize)
+        } else {
+            self.offsets.insert(b.offset_start + i, local);
+            1
+        };
+        self.blocks[bi].len += 1;
+        self.shift_tail(item, bi + 1, 1, offsets_delta, 0);
+    }
+
+    /// Inserts a one-entry block `block` at directory index `at` (inside
+    /// `item`'s block range, keeping it ascending).
+    fn insert_block(&mut self, item: usize, at: usize, block: u32, local: u16, code: u32) {
+        // The new block starts where the block it displaces started, or at
+        // the arrays' ends when it becomes the last block overall.
+        let (entry_start, offset_start) = self
+            .blocks
+            .get(at)
+            .map_or((self.codes.len(), self.offsets.len()), |b| (b.entry_start, b.offset_start));
+        self.codes.insert(entry_start, code);
+        self.offsets.insert(offset_start, local);
+        self.blocks.insert(at, ColumnBlock { block, len: 1, entry_start, offset_start });
+        self.shift_tail(item, at + 1, 1, 1, 1);
+    }
+
+    /// Moves the entry and offset starts of every block from directory
+    /// index `from` on, and `item`'s later pointer tails, by the given
+    /// deltas.
+    fn shift_tail(
+        &mut self,
+        item: usize,
+        from: usize,
+        entries: isize,
+        offsets: isize,
+        blocks: isize,
+    ) {
+        for b in &mut self.blocks[from..] {
+            b.entry_start = b.entry_start.wrapping_add_signed(entries);
+            b.offset_start = b.offset_start.wrapping_add_signed(offsets);
+        }
+        for p in &mut self.entry_ptr[item + 1..] {
+            *p = p.wrapping_add_signed(entries);
+        }
+        for p in &mut self.block_ptr[item + 1..] {
+            *p = p.wrapping_add_signed(blocks);
+        }
+    }
+
+    /// The flat left-to-right sum of `item`'s decoded entries — bitwise
+    /// [`stored_sum`](super::interest::stored_sum) of the column.
+    fn fold_column(&self, item: usize) -> f64 {
+        let mut sum = 0.0;
+        self.for_each_in_part(item, 0..self.column_len(item), |_, v| sum += v);
+        sum
+    }
+
+    /// Number of dictionary entries some stored code refers to.
+    fn live_dict_len(&self) -> usize {
+        let mut live = vec![false; self.dict.len()];
+        for i in 0..self.codes.len() {
+            live[self.codes.get(i) as usize] = true;
+        }
+        live.iter().filter(|&&l| l).count()
+    }
+
+    /// The [`COMPACT_MIN_DICT`] rule, checked after a point edit appended
+    /// a dictionary value.
+    fn compact_if_mostly_dead(&mut self) {
+        let n = self.dict.len();
+        if n < COMPACT_MIN_DICT || !n.is_power_of_two() {
+            return;
+        }
+        let live = self.live_dict_len();
+        if n - live > live {
+            self.canonicalize();
+        }
     }
 
     /// Appends new users (zeros dropped). See
@@ -611,27 +830,105 @@ impl CompressedInterest {
         before - self.nnz()
     }
 
-    /// Validates internal consistency: sorted blocks, pointer monotonicity,
-    /// codes within the dictionary, and cached sums equal to a bitwise
-    /// recompute of the decoded columns.
+    /// Validates internal consistency: the pointer arrays agree with the
+    /// block directory, blocks ascend within an item and hold `1..=512`
+    /// entries at contiguous starts, full blocks own no offsets, partial
+    /// blocks' offsets strictly increase and stay inside the user range,
+    /// every code lies within the dictionary, and the cached sums equal a
+    /// bitwise recompute of the decoded columns.
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.block_ptr.len() != self.entry_ptr.len() {
-            return Err("block_ptr / entry_ptr length mismatch".into());
+        let items = self.col_sums.len();
+        if self.entry_ptr.len() != items + 1 || self.block_ptr.len() != items + 1 {
+            return Err("block_ptr / entry_ptr / column-sum lengths disagree".into());
         }
-        for item in 0..self.num_items() {
-            let mut values = Vec::new();
-            let mut prev_user = None;
-            self.for_each_in_part(item, 0..self.column_len(item), |u, v| {
-                assert!(prev_user.is_none_or(|p| p < u), "item {item}: users not increasing");
-                prev_user = Some(u);
-                values.push(v);
-            });
-            let want = stored_sum(&values);
-            if want.to_bits() != self.col_sums[item].to_bits() {
+        if self.block_ptr[items] != self.blocks.len() {
+            return Err("block_ptr does not end at the block count".into());
+        }
+        if self.entry_ptr[items] != self.codes.len() {
+            return Err("entry_ptr does not end at the code count".into());
+        }
+        let dict_len = self.dict.len();
+        if let Some(pos) = (0..self.codes.len()).find(|&i| self.codes.get(i) as usize >= dict_len) {
+            return Err(format!("entry {pos}: code outside the {dict_len}-value dictionary"));
+        }
+        let (mut entry, mut offset, mut block_idx) = (0usize, 0usize, 0usize);
+        for item in 0..items {
+            let next = self.block_ptr[item + 1];
+            if self.block_ptr[item] != block_idx || next < block_idx || next > self.blocks.len() {
+                return Err(format!("item {item}: block_ptr is not monotone"));
+            }
+            if self.entry_ptr[item] != entry {
+                return Err(format!("item {item}: entry_ptr disagrees with the block lengths"));
+            }
+            let mut prev_block = None;
+            for b in &self.blocks[block_idx..next] {
+                let len = b.len as usize;
+                if prev_block.is_some_and(|p| p >= b.block) {
+                    return Err(format!("item {item}: blocks do not ascend"));
+                }
+                prev_block = Some(b.block);
+                if !(1..=COMPRESSED_BLOCK).contains(&len) {
+                    return Err(format!("item {item}, block {}: length {len}", b.block));
+                }
+                if b.entry_start != entry {
+                    return Err(format!("item {item}, block {}: entry_start gap", b.block));
+                }
+                if b.offset_start != offset {
+                    return Err(format!("item {item}, block {}: offset_start gap", b.block));
+                }
+                let last_local = if b.is_full() {
+                    COMPRESSED_BLOCK - 1
+                } else {
+                    let offs = self.offsets.get(offset..offset + len).ok_or_else(|| {
+                        format!("item {item}, block {}: offsets past the end", b.block)
+                    })?;
+                    if offs.windows(2).any(|w| w[0] >= w[1]) {
+                        return Err(format!(
+                            "item {item}, block {}: offsets not increasing",
+                            b.block
+                        ));
+                    }
+                    offset += len;
+                    offs[len - 1] as usize
+                };
+                if last_local >= COMPRESSED_BLOCK || b.base() + last_local >= self.num_users {
+                    return Err(format!("item {item}, block {}: user out of range", b.block));
+                }
+                entry += len;
+            }
+            block_idx = next;
+            if self.entry_ptr[item + 1] != entry || entry > self.codes.len() {
+                return Err(format!("item {item}: entry_ptr disagrees with the block lengths"));
+            }
+            if self.fold_column(item).to_bits() != self.col_sums[item].to_bits() {
                 return Err(format!("item {item}: cached sum drifted"));
             }
         }
+        if offset != self.offsets.len() {
+            return Err("offsets stored beyond the last partial block".into());
+        }
         Ok(())
+    }
+
+    /// `item`'s decoded `(user, µ)` entries, in order.
+    fn entries(&self, item: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (mut pos, end, mut block_idx) = self.part_cursor(item, 0..self.column_len(item));
+        std::iter::from_fn(move || self.cursor_next(&mut pos, end, &mut block_idx))
+    }
+}
+
+impl PartialEq for CompressedInterest {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_users == other.num_users
+            && self.num_items() == other.num_items()
+            && (0..self.num_items()).all(|item| {
+                self.column_len(item) == other.column_len(item)
+                    && self.col_sums[item].to_bits() == other.col_sums[item].to_bits()
+                    && self
+                        .entries(item)
+                        .zip(other.entries(item))
+                        .all(|((u, v), (w, x))| u == w && v.to_bits() == x.to_bits())
+            })
     }
 }
 
@@ -711,7 +1008,7 @@ impl CompressedInterestBuilder {
 
 #[cfg(test)]
 mod tests {
-    use super::super::interest::{DenseInterest, InterestMatrix};
+    use super::super::interest::{stored_sum, DenseInterest, InterestMatrix};
     use super::*;
 
     fn sample_dense() -> DenseInterest {
@@ -819,8 +1116,168 @@ mod tests {
         let mut c = sample_compressed();
         c.set_value(0, 0, 0.2); // 0.9 becomes dead
         assert_eq!(c.value(0, 0), 0.2);
-        assert_eq!(c.dict_len(), 3, "rebuild must drop dead codes");
+        assert_eq!(c.dict_len(), 4, "a point edit never renumbers the dictionary");
+        let before = c.clone();
+        assert_eq!(c.canonicalize(), 0);
+        assert_eq!(c.dict_len(), 3, "the canonical re-encode must drop dead codes");
+        assert_eq!(c, before, "re-encoding changes no value");
         c.check_consistency().unwrap();
+    }
+
+    /// The [`COMPACT_MIN_DICT`] rule: a cell cycled through fresh values
+    /// leaves one dead entry per edit; the edit that brings the dictionary
+    /// to the first power of two ≥ the floor re-encodes it canonically.
+    #[test]
+    fn point_edits_compact_a_mostly_dead_dictionary() {
+        let mut c = InterestMatrix::from(DenseInterest::from_fn(1, 4, |_, _| 0.5)).to_compressed();
+        let fresh = |i: usize| (i + 1) as f64 / 4096.0;
+        for i in 0..COMPACT_MIN_DICT - 2 {
+            c.set_value(0, 0, fresh(i));
+            assert_eq!(c.dict_len(), i + 2, "edit {i}: the rule fired early");
+        }
+        assert_eq!(c.live_dict_len(), 2);
+        c.set_value(0, 0, fresh(COMPACT_MIN_DICT - 2));
+        assert_eq!(c.dict_len(), 2, "1022 dead of 1024 must compact");
+        assert_eq!(c.dict[0], fresh(COMPACT_MIN_DICT - 2), "canonical first-use order");
+        c.check_consistency().unwrap();
+
+        // Live values outnumbering dead ones keep the dictionary as is.
+        let mut wide = InterestMatrix::from(DenseInterest::from_fn(1, COMPACT_MIN_DICT, |_, u| {
+            fresh(u + COMPACT_MIN_DICT)
+        }))
+        .to_compressed();
+        assert_eq!(wide.dict_len(), COMPACT_MIN_DICT);
+        wide.set_value(0, 0, 0.75);
+        assert_eq!(wide.dict_len(), COMPACT_MIN_DICT + 1);
+    }
+
+    /// Per-block `(block, len, codes, offsets)` of one column.
+    type Layout = Vec<(u32, u16, Vec<u32>, Vec<u16>)>;
+
+    fn column_layout(c: &CompressedInterest, item: usize) -> Layout {
+        c.blocks[c.block_ptr[item]..c.block_ptr[item + 1]]
+            .iter()
+            .map(|b| {
+                let codes = (b.entry_start..b.entry_end()).map(|i| c.codes.get(i)).collect();
+                let offs = if b.is_full() {
+                    Vec::new()
+                } else {
+                    c.offsets[b.offset_start..b.offset_start + b.len as usize].to_vec()
+                };
+                (b.block, b.len, codes, offs)
+            })
+            .collect()
+    }
+
+    /// Three items over four blocks of users: item 0 has a full block 0,
+    /// a partial block 1 missing one user, a one-entry block 2 and an empty
+    /// block 3; items 1 and 2 are patterned partial columns.
+    fn multi_block() -> CompressedInterest {
+        let nu = 3 * COMPRESSED_BLOCK + 40;
+        let d = DenseInterest::from_fn(3, nu, |item, u| match item {
+            0 if u < COMPRESSED_BLOCK => ((u % 5) + 1) as f64 / 8.0,
+            0 if u < 2 * COMPRESSED_BLOCK - 1 => 0.25,
+            0 => (u == 2 * COMPRESSED_BLOCK + 7) as u8 as f64 * 0.5,
+            _ if (u + item) % 3 == 0 => 0.0,
+            _ => ((u % 7) + 1) as f64 / 8.0,
+        });
+        InterestMatrix::from(d).to_compressed()
+    }
+
+    /// Every block transition of a point edit: overwrite, full → partial,
+    /// partial → full, a block emptying out, a new block, a cell in the
+    /// last (short) block, plus no-op zero writes. After each edit the
+    /// matrix is consistent and value-equal to a canonical re-encode, the
+    /// other columns keep their codes and offsets, and the dictionary grows
+    /// by at most one.
+    #[test]
+    fn point_edits_touch_one_column_and_match_a_reencode() {
+        let b = COMPRESSED_BLOCK;
+        let edits = [
+            (0, 3, 0.125),         // overwrite in a full block
+            (0, 3, 0.0),           // full -> partial
+            (0, 3, 0.9),           // partial -> full again, new value
+            (0, 2 * b - 1, 0.25),  // fill the one hole of block 1
+            (0, 2 * b + 7, 0.0),   // block 2 loses its only entry
+            (0, 3 * b + 5, 0.3),   // a new block in empty block 3
+            (0, 2 * b + 100, 0.0), // zero write on an absent cell
+            (1, 0, 0.0),           // partial block entry removed
+            (1, 2, 0.6),           // partial block entry inserted
+            (2, 3 * b + 39, 0.7),  // last user, short final block
+            (1, 3 * b + 1, 0.0),   // absent in a partial block
+        ];
+        let mut c = multi_block();
+        c.check_consistency().unwrap();
+        for (n, &(item, user, value)) in edits.iter().enumerate() {
+            let others: Vec<Layout> =
+                (0..c.num_items()).filter(|&i| i != item).map(|i| column_layout(&c, i)).collect();
+            let dict_before = c.dict_len();
+            c.set_value(item, user, value);
+            c.check_consistency().unwrap_or_else(|e| panic!("edit {n}: {e}"));
+            assert_eq!(c.value(item, user).to_bits(), value.to_bits(), "edit {n}");
+            let after: Vec<Layout> =
+                (0..c.num_items()).filter(|&i| i != item).map(|i| column_layout(&c, i)).collect();
+            assert_eq!(after, others, "edit {n}: another column changed");
+            assert!(c.dict_len() <= dict_before + 1, "edit {n}: dictionary grew by more than one");
+            let mut canonical = c.clone();
+            canonical.canonicalize();
+            assert_eq!(c, canonical, "edit {n}: point edit diverged from a re-encode");
+            for i in 0..c.num_items() {
+                assert_eq!(c.column_sum(i).to_bits(), canonical.column_sum(i).to_bits());
+            }
+        }
+        // The transitions above really happened.
+        let item0 = column_layout(&c, 0);
+        let shape: Vec<(u32, u16)> = item0.iter().map(|&(blk, len, ..)| (blk, len)).collect();
+        assert_eq!(shape, vec![(0, b as u16), (1, b as u16), (3, 1)]);
+    }
+
+    #[test]
+    fn equality_ignores_dictionary_order_and_dead_entries() {
+        let mut a = sample_compressed();
+        let mut b = sample_compressed();
+        a.set_value(0, 0, 0.6); // reuses 0.6's code; 0.9 dies
+        b.set_value(0, 0, 0.6);
+        b.canonicalize(); // same values, shorter dictionary
+        assert_ne!(a.dict, b.dict);
+        assert_eq!(a, b);
+        b.set_value(1, 2, 0.5);
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn consistency_check_reports_corruption_without_panicking() {
+        let good = multi_block();
+        good.check_consistency().unwrap();
+        type Tamper = fn(&mut CompressedInterest);
+        let cases: [(&str, Tamper); 10] = [
+            ("code outside the dictionary", |c| c.codes.set(0, c.dict.len() as u32)),
+            ("blocks do not ascend", |c| c.blocks.swap(0, 1)),
+            ("zero-length block", |c| c.blocks[2].len = 0),
+            ("entry_start gap", |c| c.blocks[1].entry_start += 1),
+            ("offset_start gap", |c| c.blocks[1].offset_start += 1),
+            ("full block owning offsets", |c| {
+                c.offsets.insert(0, 0);
+                c.blocks[1..].iter_mut().for_each(|b| b.offset_start += 1);
+            }),
+            ("offsets not increasing", |c| {
+                let at = c.blocks[1].offset_start;
+                c.offsets.swap(at, at + 1);
+            }),
+            ("block_ptr not monotone", |c| c.block_ptr[1] = c.blocks.len() + 5),
+            ("entry_ptr off the block lengths", |c| c.entry_ptr[1] -= 1),
+            ("cached sum drifted", |c| c.col_sums[2] += 1.0),
+        ];
+        for (what, tamper) in cases {
+            let mut c = good.clone();
+            tamper(&mut c);
+            assert!(c.check_consistency().is_err(), "{what}: not detected");
+        }
+        // A user sequence that does not increase is an error, not a panic.
+        let mut c = good.clone();
+        let at = c.blocks[1].offset_start;
+        c.offsets[at] = c.offsets[at + 1];
+        assert!(c.check_consistency().is_err());
     }
 
     #[test]

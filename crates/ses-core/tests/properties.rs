@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use ses_core::ids::{EventId, IntervalId, LocationId};
 use ses_core::model::{
-    ActivityMatrix, CompetingEvent, DenseInterest, Event, Instance, InstanceBuilder, StorageKind,
+    ActivityMatrix, CompetingEvent, DenseInterest, Event, Instance, InstanceBuilder,
+    InterestMatrix, StorageKind,
 };
 use ses_core::parallel::{Threads, PAR_BLOCK};
 use ses_core::schedule::Schedule;
@@ -88,6 +89,71 @@ fn wide_instance() -> impl Strategy<Value = Instance> {
                 .unwrap()
         },
     )
+}
+
+/// An instance of 3–5 user blocks (the last one possibly short) whose
+/// event columns mix, per `(event, block)`, full blocks, nearly full ones
+/// (a few holes), sparse ones, one-entry ones and empty ones.
+fn blocky_instance() -> impl Strategy<Value = Instance> {
+    (3usize..=5, 0usize..PAR_BLOCK / 2, 2usize..=4, 1usize..=2, 0usize..=2, 0u64..1_000_000)
+        .prop_map(|(blocks, short, ne, nt, nc, seed)| {
+            let nu = blocks * PAR_BLOCK - short;
+            let hash = move |a: usize, b: usize| {
+                let mut x = seed
+                    ^ (a as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ (b as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+                x ^= x >> 29;
+                x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x ^ (x >> 32)
+            };
+            let level = move |a: usize, b: usize| (1 + hash(a, b) % 64) as f64 / 64.0;
+            let interest = DenseInterest::from_fn(ne, nu, |e, u| {
+                let (block, local) = (u / PAR_BLOCK, u % PAR_BLOCK);
+                let keep = match hash(e, nu + block) % 5 {
+                    0 => true,
+                    1 => hash(e, u) % 97 != 0,
+                    2 => hash(e, u) % 8 == 0,
+                    3 => local == hash(e, 2 * nu + block) as usize % 64,
+                    _ => false,
+                };
+                if keep {
+                    level(e, u)
+                } else {
+                    0.0
+                }
+            });
+            let mut b = InstanceBuilder::new();
+            for l in 0..ne {
+                b.add_event(Event::new(LocationId::new(l % 3), 1.0));
+            }
+            b.add_intervals(nt);
+            for c in 0..nc {
+                b.add_competing(CompetingEvent::new(IntervalId::new(c % nt)));
+            }
+            b.event_interest(interest)
+                .competing_interest(DenseInterest::from_fn(nc, nu, |c, u| level(ne + c, u)))
+                .activity(
+                    ActivityMatrix::from_raw(nu, nt, (0..nu * nt).map(|i| level(99, i)).collect())
+                        .unwrap(),
+                )
+                .resources(100.0)
+                .build()
+                .unwrap()
+        })
+}
+
+/// Stored entries per 512-user block of each event column.
+fn block_counts(inst: &Instance) -> Vec<Vec<usize>> {
+    let blocks = inst.num_users().div_ceil(PAR_BLOCK);
+    (0..inst.num_events())
+        .map(|e| {
+            let mut counts = vec![0; blocks];
+            for (u, _) in inst.event_interest.column(e) {
+                counts[u / PAR_BLOCK] += 1;
+            }
+            counts
+        })
+        .collect()
 }
 
 /// The instance with its interest matrices converted to `kind`.
@@ -561,5 +627,141 @@ proptest! {
         prop_assert!(
             StaticCaches::from_state(caches.to_state(&comp_mass), users + 1, intervals).is_err()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Multi-block differential churn between the compressed and sparse
+    /// layouts. Over 3–5 blocks of users the ops zero a cell of a full
+    /// block, fill a nearly full block to 512, empty a block entry by
+    /// entry, open an empty block, shift random cells and retire users.
+    /// After every single op the decoded columns, `column_sum` bits and
+    /// `assignment_score` bits agree and the compressed matrices pass
+    /// `check_consistency`.
+    #[test]
+    fn compressed_point_edits_match_sparse_across_blocks(
+        inst in blocky_instance(),
+        seed in 0u64..1000,
+    ) {
+        use ses_core::delta::{self, DeltaOp};
+
+        let mut sparse = with_storage(&inst, StorageKind::Sparse);
+        let mut compressed = with_storage(&inst, StorageKind::Compressed);
+        let mut x = seed | 1;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 16) as usize
+        };
+        let mut applied = 0usize;
+        for round in 0..8 {
+            let (nu, ne) = (sparse.num_users(), sparse.num_events());
+            let counts = block_counts(&sparse);
+            let cells: Vec<(usize, usize)> =
+                (0..ne).flat_map(|e| (0..counts[e].len()).map(move |b| (e, b))).collect();
+            let pick = |want: &dyn Fn(usize, usize) -> bool, r: usize| {
+                let hits: Vec<&(usize, usize)> =
+                    cells.iter().filter(|&&(e, b)| want(e, b)).collect();
+                (!hits.is_empty()).then(|| *hits[r % hits.len()])
+            };
+            let shift = |e: usize, user: usize, interest: f64| DeltaOp::ShiftInterest {
+                event: EventId::new(e),
+                user,
+                interest,
+            };
+            let stored = |e: usize, b: usize| -> Vec<usize> {
+                let lo = b * PAR_BLOCK;
+                (lo..(lo + PAR_BLOCK).min(nu))
+                    .filter(|&u| sparse.event_interest.value(e, u) != 0.0)
+                    .collect()
+            };
+            let q = |v: usize| (1 + v % 64) as f64 / 64.0;
+            let r = next();
+            let ops: Vec<DeltaOp> = match next() % 6 {
+                // Zero one cell of a full block (full -> partial).
+                0 => pick(&|e, b| counts[e][b] == PAR_BLOCK, r)
+                    .map(|(e, b)| vec![shift(e, b * PAR_BLOCK + r % PAR_BLOCK, 0.0)])
+                    .unwrap_or_default(),
+                // Fill a nearly full block to 512 (partial -> full).
+                1 => pick(&|e, b| (PAR_BLOCK - 16..PAR_BLOCK).contains(&counts[e][b])
+                        && (b + 1) * PAR_BLOCK <= nu, r)
+                    .map(|(e, b)| {
+                        let have = stored(e, b);
+                        (b * PAR_BLOCK..(b + 1) * PAR_BLOCK)
+                            .filter(|u| !have.contains(u))
+                            .map(|u| shift(e, u, q(u + r)))
+                            .collect()
+                    })
+                    .unwrap_or_default(),
+                // Empty the smallest non-empty block, down to its last entry.
+                2 => {
+                    let smallest = cells
+                        .iter()
+                        .filter(|&&(e, b)| counts[e][b] > 0)
+                        .min_by_key(|&&(e, b)| (counts[e][b], e, b));
+                    smallest
+                        .map(|&(e, b)| stored(e, b).into_iter().map(|u| shift(e, u, 0.0)).collect())
+                        .unwrap_or_default()
+                }
+                // Open an empty block with one entry.
+                3 => pick(&|e, b| counts[e][b] == 0, r)
+                    .map(|(e, b)| {
+                        let user = (b * PAR_BLOCK + r % PAR_BLOCK).min(nu - 1);
+                        vec![shift(e, user, q(r))]
+                    })
+                    .unwrap_or_default(),
+                // Retire a few users (structural: the O(nnz) re-encode).
+                4 => {
+                    let mut users: Vec<usize> = (0..1 + r % 3).map(|i| next() % nu + i).collect();
+                    users.sort_unstable();
+                    users.dedup();
+                    users.retain(|&u| u < nu);
+                    vec![DeltaOp::RetireUsers { users }]
+                }
+                // Random drift, zeros included.
+                _ => (0..4)
+                    .map(|_| {
+                        let v = next();
+                        shift(next() % ne, next() % nu, if v % 4 == 0 { 0.0 } else { q(v) })
+                    })
+                    .collect(),
+            };
+            for op in &ops {
+                delta::apply(&mut sparse, op).expect("op valid on sparse");
+                delta::apply(&mut compressed, op).expect("op valid on compressed");
+                applied += 1;
+                for m in [&compressed.event_interest, &compressed.competing_interest] {
+                    let InterestMatrix::Compressed(c) = m else {
+                        panic!("compressed storage densified")
+                    };
+                    let check = c.check_consistency();
+                    prop_assert!(check.is_ok(), "round {}, op {} ({:?}): {:?}", round, applied, op, check);
+                }
+                for e in 0..sparse.num_events() {
+                    let bits = |m: &InterestMatrix| -> Vec<(usize, u64)> {
+                        m.column(e).map(|(u, v)| (u, v.to_bits())).collect()
+                    };
+                    prop_assert_eq!(
+                        bits(&compressed.event_interest), bits(&sparse.event_interest),
+                        "round {}, op {}: column {} diverged", round, applied, e
+                    );
+                    prop_assert_eq!(
+                        compressed.event_interest.column_sum(e).to_bits(),
+                        sparse.event_interest.column_sum(e).to_bits(),
+                        "round {}, op {}: column {} sum diverged", round, applied, e
+                    );
+                }
+                let mut s = ScoringEngine::new(&sparse);
+                let mut c = ScoringEngine::new(&compressed);
+                for (e, t) in sparse.assignment_universe() {
+                    prop_assert_eq!(
+                        c.assignment_score(e, t).to_bits(),
+                        s.assignment_score(e, t).to_bits(),
+                        "round {}, op {}: score {:?}@{:?} diverged", round, applied, e, t
+                    );
+                }
+            }
+        }
     }
 }
