@@ -19,8 +19,8 @@
 //! ## Recovery
 //!
 //! [`DurableService::open`] walks snapshots newest-first until one passes
-//! every integrity check (container checksums, layout version, instance
-//! validation, cache re-derivation, schedule replay — see
+//! every integrity check (container checksums, layout version, checked
+//! interest loads, instance validation, schedule replay — see
 //! [`SesService::from_state`]), then replays the logs of that generation
 //! and every newer one in order. A torn final log record (crash
 //! mid-append) is truncated and forgotten — its request was never

@@ -50,8 +50,8 @@ pub use net::{NetConfig, SessionBackend, SessionManager};
 pub use registry::SchedulerRegistry;
 
 use crate::common::{RunConfig, ScheduleResult, Scratch};
-use crate::stream::{RepairReport, StreamScheduler};
-use serde::{Deserialize, Serialize};
+use crate::stream::{replay_schedule, RepairReport, StreamScheduler, StreamState};
+use serde::{Deserialize, Serialize, Value};
 use ses_core::delta::{self, DeltaOp};
 use ses_core::error::ServiceError;
 use ses_core::model::Instance;
@@ -667,22 +667,26 @@ fn snapshot_on(
 }
 
 /// Versioned serialized form of a whole [`SesService`] session — the
-/// payload of a durable snapshot. Exactly one of `inst` / `stream` is
-/// populated: a cold session writes its instance in `inst`, a warm one
-/// writes it inside the repairer's state. Produced by
+/// payload of a durable snapshot. It holds only what cannot be recomputed:
+/// the live instance, the armed repairer's history (see [`StreamState`]),
+/// the current schedule and the lifetime counters. Produced by
 /// [`SesService::to_state`], consumed by [`SesService::from_state`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Reading accepts layout 1 too: its instance sat in `inst` while cold and
+/// inside `stream` while warm, next to the engine caches (dropped on
+/// load), and the repairer's schedule carried its bookkeeping (only the
+/// assignments are kept).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SessionState {
     /// Layout version; readers reject anything they do not speak.
     pub version: u32,
-    /// The live instance, while the session is cold.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub inst: Option<Instance>,
-    /// The armed repairer's full warm state, while the session is warm.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub stream: Option<crate::stream::StreamState>,
+    /// The live instance.
+    pub inst: Instance,
+    /// The armed repairer's history, while the session is warm.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub stream: Option<StreamState>,
     /// The schedule the session answers queries from, if any.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub last: Option<ScheduleState>,
     /// Delta ops applied over the session's lifetime.
     pub ops_applied: u64,
@@ -691,7 +695,78 @@ pub struct SessionState {
 }
 
 /// The session-state layout version [`SesService::to_state`] writes.
-pub const SESSION_STATE_VERSION: u32 = 1;
+pub const SESSION_STATE_VERSION: u32 = 2;
+
+// Reads `version` off the already-parsed value, then decodes the rest once
+// in that layout: a snapshot payload is never parsed twice.
+impl Deserialize for SessionState {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = v.as_object().ok_or_else(|| serde::Error::expected("object", "SessionState"))?;
+        let field =
+            |key| member(obj, key).ok_or_else(|| serde::Error::missing_field(key, "SessionState"));
+        let optional = |key| member(obj, key).unwrap_or(&Value::Null);
+        let (inst, stream) = match u32::from_value(field("version")?)? {
+            1 => match (optional("inst"), optional("stream")) {
+                (Value::Null, Value::Null) => return Err(layout_1_error("no instance owner")),
+                (inst, Value::Null) => (Instance::from_value(inst)?, None),
+                (Value::Null, stream) => {
+                    let (inst, stream) = stream_state_v1(stream)?;
+                    (inst, Some(stream))
+                }
+                _ => return Err(layout_1_error("two instance owners (cold and warm)")),
+            },
+            SESSION_STATE_VERSION => {
+                (Instance::from_value(field("inst")?)?, Option::from_value(optional("stream"))?)
+            }
+            version => {
+                return Err(serde::Error::custom(format!(
+                    "session state layout version {version} (this build reads 1 and {SESSION_STATE_VERSION})"
+                )))
+            }
+        };
+        Ok(Self {
+            version: SESSION_STATE_VERSION,
+            inst,
+            stream,
+            last: Option::from_value(optional("last"))?,
+            ops_applied: u64::from_value(field("ops_applied")?)?,
+            requests_handled: u64::from_value(field("requests_handled")?)?,
+        })
+    }
+}
+
+/// The value of an object member.
+fn member<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+fn layout_1_error(what: &str) -> serde::Error {
+    serde::Error::custom(format!("layout-1 session state: {what}"))
+}
+
+/// Layout 1's warm repairer state: its instance, and its history in the
+/// layout-2 form — the engine caches dropped and the schedule reduced to
+/// its assignments (the bookkeeping beside them is re-derived on load).
+fn stream_state_v1(v: &Value) -> Result<(Instance, StreamState), serde::Error> {
+    let obj = v.as_object().ok_or_else(|| serde::Error::expected("object", "StreamState"))?;
+    if member(obj, "version").map(u32::from_value).transpose()? != Some(1) {
+        return Err(layout_1_error("stream state is not layout 1"));
+    }
+    let inst =
+        member(obj, "inst").ok_or_else(|| layout_1_error("warm state without an instance"))?;
+    let mut fields = Vec::with_capacity(obj.len());
+    for (key, value) in obj {
+        match key.as_str() {
+            "version" | "inst" | "warm" => {}
+            "schedule" => {
+                let order = value.as_object().and_then(|s| member(s, "order"));
+                fields.push((key.clone(), order.cloned().unwrap_or(Value::Null)));
+            }
+            _ => fields.push((key.clone(), value.clone())),
+        }
+    }
+    Ok((Instance::from_value(inst)?, StreamState::from_value(&Value::Object(fields))?))
+}
 
 /// The long-lived session service (see the module docs).
 #[derive(Debug)]
@@ -1003,19 +1078,15 @@ impl SesService {
     }
 
     /// Serializes the full session state for a durable snapshot (see
-    /// [`SessionState`]): the instance (cold) or the repairer's warm state
-    /// with the instance inside it (warm), the current schedule, and the
-    /// lifetime counters. The scratch pool is excluded (pure capacity).
-    /// For a seeded session the state is deterministic byte for byte.
+    /// [`SessionState`]): the instance, the repairer's history (warm), the
+    /// current schedule, and the lifetime counters. The scratch pool and
+    /// every cache the instance determines are excluded. For a seeded
+    /// session the state is deterministic byte for byte.
     pub fn to_state(&self) -> SessionState {
-        let (inst, stream) = match &self.stream {
-            Some(s) => (None, Some(s.to_state(&self.inst))),
-            None => (Some(self.inst.clone()), None),
-        };
         SessionState {
             version: SESSION_STATE_VERSION,
-            inst,
-            stream,
+            inst: self.inst.clone(),
+            stream: self.stream.as_ref().map(StreamScheduler::to_state),
             last: self.last.as_ref().map(|l| ScheduleState {
                 algorithm: l.algorithm.clone(),
                 k: l.k,
@@ -1028,48 +1099,31 @@ impl SesService {
     }
 
     /// Rebuilds a session from a persisted state, re-validating everything
-    /// checkable: layout version, exactly one of the cold and warm
-    /// instance slots, the instance's invariants, the repairer's caches (see
-    /// [`StreamScheduler::from_state`]), and the recorded schedule — which
-    /// is replayed through the feasibility gate and must reproduce the
-    /// stored utility bits. A state that passes answers subsequent
-    /// requests **byte-identically** to the session that produced it.
+    /// checkable: layout version, the instance's invariants, the
+    /// repairer's state (see [`StreamScheduler::from_state`]), and the
+    /// recorded schedule — which is replayed through the feasibility gate
+    /// and must reproduce the stored utility bits. A state that passes
+    /// answers subsequent requests **byte-identically** to the session that
+    /// produced it.
     ///
     /// # Errors
     /// [`ServiceError::Corrupt`] naming the first failing check.
     pub fn from_state(state: SessionState, default_threads: Threads) -> Result<Self, ServiceError> {
-        let corrupt = |what: &str| ServiceError::corrupt(format!("session state: {what}"));
+        let corrupt = |what: String| ServiceError::corrupt(format!("session state: {what}"));
         if state.version != SESSION_STATE_VERSION {
-            return Err(corrupt(&format!(
+            return Err(corrupt(format!(
                 "layout version {} (this build speaks {SESSION_STATE_VERSION})",
                 state.version
             )));
         }
-        let (inst, stream) = match (state.inst, state.stream) {
-            (Some(inst), None) => {
-                inst.validate().map_err(|e| corrupt(&format!("instance fails validation: {e}")))?;
-                (inst, None)
-            }
-            (None, Some(s)) => {
-                let (inst, stream) = StreamScheduler::from_state(s)?;
-                (inst, Some(stream))
-            }
-            (Some(_), Some(_)) => return Err(corrupt("two instance owners (cold and warm)")),
-            (None, None) => return Err(corrupt("no instance owner")),
-        };
+        let inst = state.inst;
+        inst.validate().map_err(|e| corrupt(format!("instance fails validation: {e}")))?;
+        let stream = state.stream.map(|s| StreamScheduler::from_state(s, &inst)).transpose()?;
         let last = match state.last {
             None => None,
             Some(s) => {
-                let mut schedule = Schedule::new(&inst);
-                for a in &s.assignments {
-                    schedule
-                        .assign(&inst, a.event, a.interval)
-                        .map_err(|e| corrupt(&format!("schedule replay: {e}")))?;
-                }
-                let utility = ses_core::scoring::utility::total_utility(&inst, &schedule);
-                if utility.to_bits() != s.utility.to_bits() {
-                    return Err(corrupt("stored utility does not match the schedule"));
-                }
+                let schedule =
+                    replay_schedule(&inst, &s.assignments, s.utility).map_err(corrupt)?;
                 Some(LastSchedule { algorithm: s.algorithm, k: s.k, schedule, utility: s.utility })
             }
         };

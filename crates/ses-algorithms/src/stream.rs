@@ -52,9 +52,9 @@ use ses_core::delta::{self, DeltaEffect, DeltaOp};
 use ses_core::error::{DeltaError, ServiceError};
 use ses_core::model::Instance;
 use ses_core::parallel::Threads;
-use ses_core::schedule::Schedule;
+use ses_core::schedule::{Assignment, Schedule};
 use ses_core::scoring::utility::total_utility;
-use ses_core::scoring::{ScoringEngine, StaticCaches, WarmCacheState};
+use ses_core::scoring::{ScoringEngine, StaticCaches};
 use ses_core::stats::Stats;
 use ses_core::{EventId, IntervalId};
 use std::time::Instant;
@@ -85,20 +85,17 @@ pub struct TableCellState {
     pub exact: bool,
 }
 
-/// Versioned serialized form of a whole [`StreamScheduler`] — everything a
-/// restored session needs to keep answering requests **byte-identically**
-/// to the uninterrupted run: the live instance (storage layout and
-/// constraint set ride along), the maintained schedule, the engine's warm
-/// caches, the score table with its exact/bound flags (history-dependent:
-/// they steer future lazy refreshes and therefore future `Stats`), and
-/// the lifetime counters. Produced by [`StreamScheduler::to_state`],
-/// consumed by [`StreamScheduler::from_state`].
+/// Serialized form of a [`StreamScheduler`] — the history a restored
+/// repairer cannot recompute from its instance: the maintained schedule
+/// (as its assignments, in selection order), the score table with its
+/// exact/bound flags (stale scores are upper bounds, so the flags steer
+/// future lazy refreshes and therefore future `Stats`), and the counters.
+/// The competing-mass table and the static engine caches are pure
+/// functions of the instance and are rebuilt on load. Produced by
+/// [`StreamScheduler::to_state`], consumed by
+/// [`StreamScheduler::from_state`]; the instance travels beside it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamState {
-    /// Layout version; readers reject anything they do not speak.
-    pub version: u32,
-    /// The live instance, post every applied op.
-    pub inst: Instance,
     /// Maintained schedule size `k`.
     pub k: usize,
     /// Resolved worker-thread count (≥ 1). Results are thread-invariant;
@@ -106,13 +103,11 @@ pub struct StreamState {
     pub threads: usize,
     /// Whether the bound-first gate is enabled for repairs.
     pub bound_gate: bool,
-    /// The engine's warm caches (competing-mass + fused kernel tables).
-    pub warm: WarmCacheState,
     /// Empty-schedule score table, `[t·|E| + e]`; `None` marks cells
     /// infeasible on the empty schedule.
     pub table: Vec<Option<TableCellState>>,
-    /// The maintained schedule.
-    pub schedule: Schedule,
+    /// The maintained schedule's assignments, in selection order.
+    pub schedule: Vec<Assignment>,
     /// Ω(S) of the maintained schedule.
     pub utility: f64,
     /// Counters accumulated since the cold build.
@@ -122,6 +117,28 @@ pub struct StreamState {
     pub last: RepairReport,
     /// Ops applied so far.
     pub ops_applied: u64,
+}
+
+/// Replays persisted assignments through the feasibility gate and checks
+/// that they reproduce the stored Ω(S) bits — the one load check for every
+/// persisted schedule.
+///
+/// # Errors
+/// A rendered description of the first failing check; callers wrap it in
+/// their own corrupt-state error.
+pub(crate) fn replay_schedule(
+    inst: &Instance,
+    assignments: &[Assignment],
+    utility: f64,
+) -> Result<Schedule, String> {
+    let mut schedule = Schedule::new(inst);
+    for a in assignments {
+        schedule.assign(inst, a.event, a.interval).map_err(|e| format!("schedule replay: {e}"))?;
+    }
+    if total_utility(inst, &schedule).to_bits() != utility.to_bits() {
+        return Err("stored utility does not match the schedule".into());
+    }
+    Ok(schedule)
 }
 
 /// Maintains a schedule over a live instance under a [`DeltaOp`] stream
@@ -489,30 +506,21 @@ impl StreamScheduler {
         self.ops_applied
     }
 
-    /// The state-layout version [`to_state`](Self::to_state) writes.
-    pub const STATE_VERSION: u32 = 1;
-
-    /// Serializes the full warm state, together with the instance it
-    /// describes, for a durable snapshot (see [`StreamState`]). The
-    /// selection scratch is excluded (pure capacity, behavior-neutral) and
-    /// the report's wall clock is zeroed, so the state of a seeded session
-    /// is deterministic byte for byte.
-    pub fn to_state(&self, inst: &Instance) -> StreamState {
-        self.debug_check_instance(inst);
-        let caches = self.engine_caches.as_ref().expect("every repair keeps the static caches");
+    /// Serializes the warm state for a durable snapshot (see
+    /// [`StreamState`]). The selection scratch is excluded (pure capacity,
+    /// behavior-neutral) and the report's wall clock is zeroed, so the
+    /// state of a seeded session is deterministic byte for byte.
+    pub fn to_state(&self) -> StreamState {
         StreamState {
-            version: Self::STATE_VERSION,
-            inst: inst.clone(),
             k: self.k,
             threads: self.threads.get(),
             bound_gate: self.bound_gate,
-            warm: caches.to_state(&self.comp_mass),
             table: self
                 .table
                 .iter()
                 .map(|c| c.map(|c| TableCellState { score: c.score, exact: c.exact }))
                 .collect(),
-            schedule: self.schedule.clone(),
+            schedule: self.schedule.assignments().to_vec(),
             utility: self.utility,
             cumulative: self.cumulative,
             last: RepairReport { time_ms: 0.0, ..self.last.clone() },
@@ -520,64 +528,43 @@ impl StreamScheduler {
         }
     }
 
-    /// Rebuilds a warm scheduler, and the instance it repairs, from a
-    /// persisted state, re-validating everything checkable before trusting
-    /// it: the layout version, the instance's own invariants
-    /// ([`Instance::validate`]), every cache shape, and the schedule —
-    /// which is **replayed** assignment by assignment through the
-    /// feasibility gate and required to reproduce the stored bookkeeping
-    /// (and the stored utility bits) exactly.
+    /// Rebuilds a warm scheduler over `inst` (already validated by the
+    /// caller) from a persisted state. The score table's shape is checked
+    /// and the schedule is replayed (see [`replay_schedule`]). The
+    /// competing-mass table and the static caches come from a cold engine:
+    /// they are bitwise what the warm repairer maintained, because
+    /// [`delta::refresh_comp_mass`] keeps the table equal to a cold build
+    /// and the static caches are derived from it.
     ///
     /// # Errors
     /// [`ServiceError::Corrupt`] naming the first failing check; content
     /// that passes answers subsequent requests bit-identically to the
     /// scheduler [`to_state`](Self::to_state) captured.
-    pub fn from_state(state: StreamState) -> Result<(Instance, Self), ServiceError> {
+    pub fn from_state(state: StreamState, inst: &Instance) -> Result<Self, ServiceError> {
         let corrupt = |what: String| ServiceError::corrupt(format!("stream state: {what}"));
-        if state.version != Self::STATE_VERSION {
-            return Err(corrupt(format!(
-                "layout version {} (this build speaks {})",
-                state.version,
-                Self::STATE_VERSION
-            )));
-        }
         if state.threads == 0 {
             return Err(corrupt("thread count of 0".into()));
         }
-        state.inst.validate().map_err(|e| corrupt(format!("instance fails validation: {e}")))?;
-        let (users, events, intervals) =
-            (state.inst.num_users(), state.inst.num_events(), state.inst.num_intervals());
-        let (comp_mass, caches) =
-            StaticCaches::from_state(state.warm, users, intervals).map_err(corrupt)?;
-        if state.table.len() != events * intervals {
+        let cells = inst.num_events() * inst.num_intervals();
+        if state.table.len() != cells {
             return Err(corrupt(format!(
-                "score table has {} cells, instance needs {}",
-                state.table.len(),
-                events * intervals
+                "score table has {} cells, instance needs {cells}",
+                state.table.len()
             )));
         }
-        let mut replayed = Schedule::new(&state.inst);
-        for a in state.schedule.assignments() {
-            replayed
-                .assign(&state.inst, a.event, a.interval)
-                .map_err(|e| corrupt(format!("schedule replay: {e}")))?;
-        }
-        if replayed != state.schedule {
-            return Err(corrupt("schedule bookkeeping does not match its own assignments".into()));
-        }
-        if total_utility(&state.inst, &state.schedule).to_bits() != state.utility.to_bits() {
-            return Err(corrupt("stored utility does not match the schedule".into()));
-        }
-        let stream = Self {
+        let schedule = replay_schedule(inst, &state.schedule, state.utility).map_err(corrupt)?;
+        let threads = Threads::new(state.threads);
+        let (comp_mass, caches) = ScoringEngine::with_threads(inst, threads).into_warm_parts();
+        Ok(Self {
             k: state.k,
-            threads: Threads::new(state.threads),
+            threads,
             comp_mass,
             table: state
                 .table
                 .iter()
                 .map(|c| c.map(|c| TableEntry { score: c.score, exact: c.exact }))
                 .collect(),
-            schedule: state.schedule,
+            schedule,
             utility: state.utility,
             cumulative: state.cumulative,
             last: state.last,
@@ -585,8 +572,7 @@ impl StreamScheduler {
             scratch: Scratch::new(),
             engine_caches: Some(caches),
             bound_gate: state.bound_gate,
-        };
-        Ok((state.inst, stream))
+        })
     }
 }
 

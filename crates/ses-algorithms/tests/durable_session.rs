@@ -14,10 +14,12 @@
 //! point in the transcript. Bit flips are the disk-rot model: all bytes
 //! are present but some lie, and recovery must refuse.
 
+use serde_json::Value;
 use ses_algorithms::service::durable::{inspect, DurableService};
 use ses_algorithms::service::{wire, Query, Request, Response, SesService};
-use ses_core::delta::DeltaOp;
+use ses_core::delta::{DeltaOp, NewUser};
 use ses_core::durable::{generations, read_wal, wal_generations};
+use ses_core::error::ServiceError;
 use ses_core::model::{Instance, InterestMatrix, StorageKind};
 use ses_core::parallel::Threads;
 use ses_core::EventId;
@@ -198,11 +200,31 @@ fn golden_sessions() -> [(&'static str, Vec<Request>); 2] {
         ops: vec![DeltaOp::ShiftInterest { event: EventId::new(0), user: 1, interest: 0.9 }],
         window: None,
     };
-    [("session_state_cold.json", vec![schedule]), ("session_state_warm.json", vec![repair, shift])]
+    [("session_state_cold", vec![schedule]), ("session_state_warm", vec![repair, shift])]
 }
 
 fn golden_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(name)
+}
+
+/// The live running-example session `reqs` leave behind.
+fn live_session(reqs: &[Request]) -> SesService {
+    let mut live = SesService::new(ses_core::model::running_example()).with_threads(T1());
+    for r in reqs {
+        live.handle(r);
+    }
+    live
+}
+
+/// The probes a loaded session must answer exactly as the live one does.
+fn assert_answers_like(name: &str, loaded: &mut SesService, live: &mut SesService) {
+    for probe in [Request::Snapshot, Request::Repair { k: 3, threads: None, gate: false }] {
+        assert_eq!(
+            wire::encode_response(&loaded.handle(&probe)),
+            wire::encode_response(&live.handle(&probe)),
+            "{name}: loaded session diverged on {probe:?}"
+        );
+    }
 }
 
 /// The snapshot payload is pinned byte for byte: the live session writes
@@ -211,23 +233,73 @@ fn golden_path(name: &str) -> PathBuf {
 #[test]
 fn session_state_matches_the_committed_payloads() {
     for (name, reqs) in golden_sessions() {
-        let mut live = SesService::new(ses_core::model::running_example()).with_threads(T1());
-        for r in &reqs {
-            live.handle(r);
-        }
-        let golden = fs::read_to_string(golden_path(name)).unwrap();
+        let mut live = live_session(&reqs);
+        let golden = fs::read_to_string(golden_path(&format!("{name}.json"))).unwrap();
         let written = serde_json::to_string(&live.to_state()).unwrap();
         assert_eq!(written, golden.trim_end(), "{name}: session state bytes drifted");
 
         let mut loaded = SesService::from_state(serde_json::from_str(&golden).unwrap(), T1())
             .unwrap_or_else(|e| panic!("{name}: committed state must load: {e}"));
-        for probe in [Request::Snapshot, Request::Repair { k: 3, threads: None, gate: false }] {
-            assert_eq!(
-                wire::encode_response(&loaded.handle(&probe)),
-                wire::encode_response(&live.handle(&probe)),
-                "{name}: loaded session diverged on {probe:?}"
-            );
+        assert_answers_like(name, &mut loaded, &mut live);
+    }
+}
+
+/// The layout-1 payloads an earlier build committed still load: the loaded
+/// session writes exactly the layout-2 golden (so the upgrade is the whole
+/// v1 → v2 difference) and answers `Snapshot` and `Repair` exactly as the
+/// live session does.
+#[test]
+fn layout_1_payloads_still_load() {
+    for (name, reqs) in golden_sessions() {
+        let mut live = live_session(&reqs);
+        let v1 = fs::read_to_string(golden_path(&format!("{name}_v1.json"))).unwrap();
+        assert!(v1.starts_with(r#"{"version":1,"#), "{name}: fixture is not layout 1");
+        let mut loaded = SesService::from_state(serde_json::from_str(&v1).unwrap(), T1())
+            .unwrap_or_else(|e| panic!("{name}: layout-1 state must load: {e}"));
+        let v2 = fs::read_to_string(golden_path(&format!("{name}.json"))).unwrap();
+        assert_eq!(serde_json::to_string(&loaded.to_state()).unwrap(), v2.trim_end());
+        assert_answers_like(name, &mut loaded, &mut live);
+    }
+}
+
+/// Recovers a state directory whose only snapshot holds `payload`, the
+/// way `ses serve --state-dir` would.
+fn recover_payload(tag: &str, payload: &str) -> Result<DurableService, ServiceError> {
+    let dir = tmpdir(tag);
+    ses_core::durable::write_snapshot(&dir, 0, payload.as_bytes()).unwrap();
+    let out = DurableService::open(&dir, base_instance(), T1(), 0).map(|(svc, _)| svc);
+    fs::remove_dir_all(&dir).unwrap();
+    out
+}
+
+/// The object member `key` of a parsed payload.
+fn member<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    match v {
+        Value::Object(fields) => {
+            &mut fields.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no {key}")).1
         }
+        other => panic!("{other:?} is not an object"),
+    }
+}
+
+/// A layout-1 payload whose instance has no owner, or two, is corrupt.
+#[test]
+fn layout_1_payloads_need_exactly_one_instance_owner() {
+    let parse = |name| -> Value {
+        serde_json::from_str(&fs::read_to_string(golden_path(name)).unwrap()).unwrap()
+    };
+    let inst = member(&mut parse("session_state_cold_v1.json"), "inst").clone();
+    let Value::Object(warm) = parse("session_state_warm_v1.json") else {
+        unreachable!("payloads are objects")
+    };
+    let mut two_owners = warm.clone();
+    two_owners.insert(1, ("inst".to_string(), inst));
+    let no_owner: Vec<_> = warm.into_iter().filter(|(k, _)| k != "stream").collect();
+    for (what, fields) in [("two owners", two_owners), ("no owner", no_owner)] {
+        let payload = serde_json::to_string(&Value::Object(fields)).unwrap();
+        let err = recover_payload("owners", &payload).unwrap_err();
+        assert_eq!(err.code(), "corrupt", "{what}: {err}");
+        assert!(err.to_string().contains("owner"), "{what}: {err}");
     }
 }
 
@@ -235,21 +307,25 @@ fn session_state_matches_the_committed_payloads() {
 fn session_state_rejects_tampering() {
     let mut svc = SesService::new(base_instance()).with_threads(T1());
     svc.handle(&transcript()[0]);
+    svc.handle(&Request::Repair { k: 3, threads: None, gate: false });
     let good = svc.to_state();
 
     let mut wrong_version = good.clone();
     wrong_version.version = 99;
     assert_eq!(SesService::from_state(wrong_version, T1()).unwrap_err().code(), "corrupt");
 
-    let mut no_owner = good.clone();
-    no_owner.inst = None;
-    no_owner.stream = None;
-    assert_eq!(SesService::from_state(no_owner, T1()).unwrap_err().code(), "corrupt");
-
     let mut bent_utility = good.clone();
-    let last = bent_utility.last.as_mut().expect("schedule request recorded a schedule");
+    let last = bent_utility.last.as_mut().expect("repair recorded a schedule");
     last.utility += 0.125;
     assert_eq!(SesService::from_state(bent_utility, T1()).unwrap_err().code(), "corrupt");
+
+    let mut bent_stream = good.clone();
+    bent_stream.stream.as_mut().expect("repair armed the repairer").utility += 0.125;
+    assert_eq!(SesService::from_state(bent_stream, T1()).unwrap_err().code(), "corrupt");
+
+    let mut short_table = good.clone();
+    short_table.stream.as_mut().unwrap().table.pop();
+    assert_eq!(SesService::from_state(short_table, T1()).unwrap_err().code(), "corrupt");
 
     // And the untampered state still loads.
     SesService::from_state(good, T1()).unwrap();
@@ -581,6 +657,170 @@ fn compressed_sessions_replay_point_edits_deterministically() {
         );
         drop(svc);
         fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Warm repair over compressed multi-block storage: arm, then a point
+/// edit, a join, a retirement and more edits, with warm reuse and a
+/// re-arm at another `k` along the way.
+fn warm_compressed_transcript(base: &Instance) -> Vec<Request> {
+    let repair = |k| Request::Repair { k, threads: None, gate: false };
+    let ops = |ops: Vec<DeltaOp>| Request::ApplyOps { ops, window: None };
+    let shift = |event, user, interest| DeltaOp::ShiftInterest {
+        event: EventId::new(event),
+        user,
+        interest,
+    };
+    let joiner = |j: usize| NewUser {
+        event_interest: (0..base.num_events()).map(|e| ((e + j) % 4) as f64 / 4.0).collect(),
+        competing_interest: vec![0.375; base.num_competing()],
+        activity: vec![0.625; base.num_intervals()],
+        weight: None,
+    };
+    vec![
+        repair(3),
+        ops(vec![shift(1, 700, 0.8125)]),
+        ops(vec![DeltaOp::AddUsers { users: (0..3).map(joiner).collect() }]),
+        ops(vec![DeltaOp::RetireUsers { users: vec![2, 600, 1_290] }]),
+        ops(vec![shift(0, 1_100, 0.0), shift(2, 5, 0.3)]),
+        repair(3),
+        repair(4),
+        ops(vec![shift(3, 1_999, 0.9)]),
+    ]
+}
+
+/// A warm compressed session restarted at every request boundary — from
+/// a warm snapshot written by `Persist`, and from the cold base snapshot
+/// plus its log — holds the same `to_state` bytes as the uninterrupted
+/// session and answers every later request, `Repair` and its `Stats`
+/// included, byte-identically.
+#[test]
+fn warm_compressed_sessions_restart_identically_at_every_boundary() {
+    let base = compressed_instance();
+    let reqs = warm_compressed_transcript(&base);
+    let state_of = |svc: &SesService| serde_json::to_string(&svc.to_state()).unwrap();
+    let mut copy = SesService::new(base.clone()).with_threads(T1());
+    let mut states = vec![state_of(&copy)];
+    let mut answers = Vec::new();
+    for r in &reqs {
+        answers.push(wire::encode_response(&copy.handle(r)));
+        states.push(state_of(&copy));
+    }
+    assert!(answers.iter().all(|a| !a.contains("\"Error\"")), "a request failed");
+
+    for split in 0..=reqs.len() {
+        for persist in [false, true] {
+            let dir = tmpdir(&format!("warm-compressed-{split}-{persist}"));
+            let (mut svc, _) = DurableService::open(&dir, base.clone(), T1(), 0).unwrap();
+            for r in &reqs[..split] {
+                svc.handle(r);
+            }
+            if persist {
+                assert!(matches!(svc.handle(&Request::Persist), Response::Persisted { .. }));
+            }
+            drop(svc);
+            let (mut svc, report) = DurableService::open(&dir, base.clone(), T1(), 0).unwrap();
+            assert_eq!(report.fell_back, 0);
+            assert_eq!(state_of(svc.service()), states[split], "split {split}, persist {persist}");
+            for (i, r) in reqs[split..].iter().enumerate() {
+                assert_eq!(
+                    wire::encode_response(&svc.handle(r)),
+                    answers[split + i],
+                    "split {split}, persist {persist}: request {} diverged",
+                    split + i
+                );
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Checked interest loads
+// ---------------------------------------------------------------------
+
+/// Element `i` of a parsed array.
+fn element(v: &mut Value, i: usize) -> &mut Value {
+    match v {
+        Value::Array(xs) => &mut xs[i],
+        other => panic!("{other:?} is not an array"),
+    }
+}
+
+fn uint(v: &mut Value) -> usize {
+    match v {
+        Value::UInt(n) => *n as usize,
+        other => panic!("{other:?} is not an unsigned integer"),
+    }
+}
+
+/// The layout object of a parsed session state's event interest.
+fn event_interest(state: &mut Value, kind: StorageKind) -> &mut Value {
+    let variant = match kind {
+        StorageKind::Dense => "Dense",
+        StorageKind::Sparse => "Sparse",
+        StorageKind::Compressed => "Compressed",
+    };
+    member(member(member(state, "inst"), "event_interest"), variant)
+}
+
+/// A scheduled session over `base_instance` stored as `kind`, its state as
+/// a parsed value, and its answer to `Query::Event` for event 0.
+fn stored_session(kind: StorageKind) -> (SesService, Value, String) {
+    let mut inst = base_instance();
+    inst.event_interest = inst.event_interest.convert_to(kind);
+    inst.competing_interest = inst.competing_interest.convert_to(kind);
+    let mut svc = SesService::new(inst).with_threads(T1());
+    svc.handle(&transcript()[0]);
+    let state = serde_json::from_str(&serde_json::to_string(&svc.to_state()).unwrap()).unwrap();
+    let answer = wire::encode_response(&svc.handle(&event_query()));
+    (svc, state, answer)
+}
+
+fn event_query() -> Request {
+    Request::Query { query: Query::Event { event: 0 } }
+}
+
+/// A snapshot whose sparse or compressed interest is malformed is
+/// `corrupt`, and one whose cached column sums are wrong loads with the
+/// sums re-derived: it answers `Query::Event` and writes its state exactly
+/// as the untouched session does.
+#[test]
+fn snapshot_interest_is_checked_on_load() {
+    // Each corruption tampers with the parsed layout object of the event
+    // interest; every one used to load and then panic in the engine.
+    type Tamper = fn(&mut Value);
+    let cases: [(StorageKind, &str, Tamper); 3] = [
+        (StorageKind::Sparse, "user index past |U|", |m| {
+            let end = uint(element(member(m, "indptr"), 1));
+            let users = uint(member(m, "num_users"));
+            *element(member(m, "users"), end - 1) = Value::UInt(users as u64);
+        }),
+        (StorageKind::Compressed, "offset outside its block", |m| {
+            let len = uint(member(element(member(m, "blocks"), 0), "len"));
+            *element(member(m, "offsets"), len - 1) = Value::UInt(600);
+        }),
+        (StorageKind::Compressed, "entry_ptr past the end", |m| {
+            let Value::Array(ptr) = member(m, "entry_ptr") else { panic!("entry_ptr") };
+            let last = ptr.last_mut().unwrap();
+            *last = Value::UInt(uint(last) as u64 + 4);
+        }),
+    ];
+    for (kind, what, tamper) in cases {
+        let (_, mut state, _) = stored_session(kind);
+        tamper(event_interest(&mut state, kind));
+        let payload = serde_json::to_string(&state).unwrap();
+        let err = recover_payload("bad-interest", &payload).unwrap_err();
+        assert_eq!(err.code(), "corrupt", "{kind}, {what}: {err}");
+    }
+    for kind in [StorageKind::Sparse, StorageKind::Compressed] {
+        let (svc, mut state, answer) = stored_session(kind);
+        *element(member(event_interest(&mut state, kind), "col_sums"), 0) = Value::Float(20.0);
+        let mut loaded = recover_payload("stale-sums", &serde_json::to_string(&state).unwrap())
+            .unwrap_or_else(|e| panic!("{kind}: stale sums must load: {e}"));
+        assert_eq!(wire::encode_response(&loaded.handle(&event_query())), answer, "{kind}");
+        let restored = serde_json::to_string(&loaded.service().to_state()).unwrap();
+        assert_eq!(restored, serde_json::to_string(&svc.to_state()).unwrap(), "{kind}");
     }
 }
 

@@ -9,7 +9,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
-use ses_algorithms::service::wire;
+use serde_json::Value;
+use ses_algorithms::service::{wire, Query};
 use ses_algorithms::Request;
 use ses_core::delta::DeltaOp;
 use ses_core::EventId;
@@ -304,6 +305,109 @@ fn corrupt_input_file_exit_codes() {
     let (code, stderr) =
         run_capture(&["run", "--input", good.to_str().unwrap(), "--k", "3", "--threads", "1"]);
     assert_eq!(code, 0, "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The object member `key` of a parsed instance file.
+fn member<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    match v {
+        Value::Object(fields) => {
+            &mut fields.iter_mut().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no {key}")).1
+        }
+        other => panic!("{other:?} is not an object"),
+    }
+}
+
+/// Element `i` of a parsed array.
+fn element(v: &mut Value, i: usize) -> &mut Value {
+    match v {
+        Value::Array(xs) => &mut xs[i],
+        other => panic!("{other:?} is not an array"),
+    }
+}
+
+fn uint(v: &mut Value) -> u64 {
+    match v {
+        Value::UInt(n) => *n,
+        other => panic!("{other:?} is not an unsigned integer"),
+    }
+}
+
+/// Generates the shared shape with `storage` interest into `dir`, parsed.
+fn generated_instance(dir: &Path, storage: &str) -> Value {
+    let path = dir.join(format!("{storage}.json"));
+    let mut args = vec!["generate"];
+    args.extend_from_slice(SHAPE);
+    args.extend_from_slice(&["--storage", storage, "--out", path.to_str().unwrap()]);
+    let (code, stderr) = run_capture(&args);
+    assert_eq!(code, 0, "{stderr}");
+    serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+/// The layout object of a parsed instance's event interest.
+fn event_interest<'a>(inst: &'a mut Value, variant: &str) -> &'a mut Value {
+    member(member(inst, "event_interest"), variant)
+}
+
+/// `serve --input` answers to a `Query` for event 0.
+fn query_event_0(input: &Path) -> String {
+    let mut child = ses()
+        .args(["serve", "--input", input.to_str().unwrap()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let query = Request::Query { query: Query::Event { event: 0 } };
+    writeln!(child.stdin.take().unwrap(), "{}", wire::encode_request(&query)).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// Malformed sparse or compressed interest in an `--input` file is
+/// corruption (exit 1, `error[corrupt]`) on `run` and `serve`, never a
+/// panic; stale cached column sums are re-derived, so `serve` answers a
+/// `Query` exactly as it does for the untouched file.
+#[test]
+fn malformed_interest_input_is_corrupt() {
+    let dir = tmpdir("interest");
+    type Tamper = fn(&mut Value);
+    let cases: [(&str, &str, &str, Tamper); 3] = [
+        ("sparse", "Sparse", "user index past |U|", |m| {
+            let end = uint(element(member(m, "indptr"), 1)) as usize;
+            let users = uint(member(m, "num_users"));
+            *element(member(m, "users"), end - 1) = Value::UInt(users);
+        }),
+        ("compressed", "Compressed", "offset outside its block", |m| {
+            let len = uint(member(element(member(m, "blocks"), 0), "len")) as usize;
+            *element(member(m, "offsets"), len - 1) = Value::UInt(600);
+        }),
+        ("compressed", "Compressed", "entry_ptr past the end", |m| {
+            let Value::Array(ptr) = member(m, "entry_ptr") else { panic!("entry_ptr") };
+            let last = ptr.last_mut().unwrap();
+            *last = Value::UInt(uint(last) + 4);
+        }),
+    ];
+    for (storage, variant, what, tamper) in cases {
+        let mut inst = generated_instance(&dir, storage);
+        tamper(event_interest(&mut inst, variant));
+        let bad = dir.join("bad.json");
+        std::fs::write(&bad, serde_json::to_string(&inst).unwrap()).unwrap();
+        for sub in ["run", "serve"] {
+            let (code, stderr) = run_capture(&[sub, "--input", bad.to_str().unwrap()]);
+            assert_eq!(code, 1, "{sub}, {what}: {stderr}");
+            assert!(stderr.contains("error[corrupt]"), "{sub}, {what}: {stderr}");
+        }
+    }
+    for (storage, variant) in [("sparse", "Sparse"), ("compressed", "Compressed")] {
+        let mut inst = generated_instance(&dir, storage);
+        let clean = query_event_0(&dir.join(format!("{storage}.json")));
+        *element(member(event_interest(&mut inst, variant), "col_sums"), 0) = Value::Float(20.0);
+        let stale = dir.join("stale.json");
+        std::fs::write(&stale, serde_json::to_string(&inst).unwrap()).unwrap();
+        assert_eq!(query_event_0(&stale), clean, "{storage}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -51,7 +51,7 @@
 
 use crate::error::ServiceError;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Leading magic of a snapshot container.
@@ -349,17 +349,6 @@ fn sync_dir(dir: &Path) -> Result<(), ServiceError> {
         let _ = d.sync_all();
     }
     Ok(())
-}
-
-/// Reads a whole file, mapping failures to [`ServiceError::Io`] — shared
-/// helper for callers loading persisted instance files.
-///
-/// # Errors
-/// [`ServiceError::Io`] with the offending path.
-pub fn read_file(path: &Path) -> Result<Vec<u8>, ServiceError> {
-    let mut buf = Vec::new();
-    File::open(path).map_err(io_at(path))?.read_to_end(&mut buf).map_err(io_at(path))?;
-    Ok(buf)
 }
 
 #[cfg(test)]

@@ -255,7 +255,7 @@ impl Interner {
 /// `(user, µ bits)` sequence per column and the same cached-sum bits. Two
 /// matrices built by different edit histories can be equal while their
 /// dictionaries differ in order or in dead entries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CompressedInterest {
     num_users: usize,
     /// Distinct non-zero values, in first-use (encode-order) position; codes
@@ -276,6 +276,42 @@ pub struct CompressedInterest {
     /// [`stored_sum`](super::interest::stored_sum) invariant as the dense
     /// and sparse layouts.
     col_sums: Vec<f64>,
+}
+
+/// The serialized layout of [`CompressedInterest`].
+#[derive(Deserialize)]
+struct CompressedInterestRepr {
+    num_users: usize,
+    dict: Vec<f64>,
+    codes: CodeVec,
+    offsets: Vec<u16>,
+    blocks: Vec<ColumnBlock>,
+    block_ptr: Vec<usize>,
+    entry_ptr: Vec<usize>,
+}
+
+// Loading runs the structural half of `check_consistency`, so a malformed
+// file is an error rather than a later out-of-bounds panic, and replaces
+// the stored column sums by a recompute (bitwise what a well-formed file
+// holds).
+impl Deserialize for CompressedInterest {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let r = CompressedInterestRepr::from_value(v)?;
+        let mut c = Self {
+            num_users: r.num_users,
+            dict: r.dict,
+            codes: r.codes,
+            offsets: r.offsets,
+            blocks: r.blocks,
+            block_ptr: r.block_ptr,
+            entry_ptr: r.entry_ptr,
+            col_sums: Vec::new(),
+        };
+        c.check_structure()
+            .map_err(|e| serde::Error::custom(format!("compressed interest: {e}")))?;
+        c.col_sums = (0..c.num_items()).map(|item| c.fold_column(item)).collect();
+        Ok(c)
+    }
 }
 
 impl CompressedInterest {
@@ -830,16 +866,34 @@ impl CompressedInterest {
         before - self.nnz()
     }
 
-    /// Validates internal consistency: the pointer arrays agree with the
-    /// block directory, blocks ascend within an item and hold `1..=512`
-    /// entries at contiguous starts, full blocks own no offsets, partial
-    /// blocks' offsets strictly increase and stay inside the user range,
-    /// every code lies within the dictionary, and the cached sums equal a
-    /// bitwise recompute of the decoded columns.
+    /// Validates internal consistency: the structure (see
+    /// [`check_structure`](Self::check_structure)) and the cached sums,
+    /// which must equal a bitwise recompute of the decoded columns.
     pub fn check_consistency(&self) -> Result<(), String> {
-        let items = self.col_sums.len();
-        if self.entry_ptr.len() != items + 1 || self.block_ptr.len() != items + 1 {
-            return Err("block_ptr / entry_ptr / column-sum lengths disagree".into());
+        self.check_structure()?;
+        if self.col_sums.len() != self.num_items() {
+            return Err("column-sum count disagrees with the item count".into());
+        }
+        for item in 0..self.num_items() {
+            if self.fold_column(item).to_bits() != self.col_sums[item].to_bits() {
+                return Err(format!("item {item}: cached sum drifted"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Validates everything decoding relies on: the pointer arrays agree
+    /// with the block directory, blocks ascend within an item and hold
+    /// `1..=512` entries at contiguous starts, full blocks own no offsets,
+    /// partial blocks' offsets strictly increase and stay inside the user
+    /// range, and every code lies within the dictionary. A matrix that
+    /// passes decodes every column without an out-of-bounds access.
+    fn check_structure(&self) -> Result<(), String> {
+        let Some(items) = self.entry_ptr.len().checked_sub(1) else {
+            return Err("entry_ptr is empty".into());
+        };
+        if self.block_ptr.len() != items + 1 {
+            return Err("block_ptr / entry_ptr lengths disagree".into());
         }
         if self.block_ptr[items] != self.blocks.len() {
             return Err("block_ptr does not end at the block count".into());
@@ -899,9 +953,6 @@ impl CompressedInterest {
             block_idx = next;
             if self.entry_ptr[item + 1] != entry || entry > self.codes.len() {
                 return Err(format!("item {item}: entry_ptr disagrees with the block lengths"));
-            }
-            if self.fold_column(item).to_bits() != self.col_sums[item].to_bits() {
-                return Err(format!("item {item}: cached sum drifted"));
             }
         }
         if offset != self.offsets.len() {
@@ -1268,16 +1319,29 @@ mod tests {
             ("entry_ptr off the block lengths", |c| c.entry_ptr[1] -= 1),
             ("cached sum drifted", |c| c.col_sums[2] += 1.0),
         ];
+        let load = |c: &CompressedInterest| {
+            serde_json::from_str::<CompressedInterest>(&serde_json::to_string(c).unwrap())
+        };
         for (what, tamper) in cases {
             let mut c = good.clone();
             tamper(&mut c);
             assert!(c.check_consistency().is_err(), "{what}: not detected");
+            // Loading refuses the structural cases and re-derives the sums.
+            match load(&c) {
+                Ok(loaded) => {
+                    assert_eq!(what, "cached sum drifted", "{what}: loaded");
+                    loaded.check_consistency().unwrap();
+                    assert_eq!(loaded, good);
+                }
+                Err(e) => assert!(e.to_string().contains("compressed interest"), "{what}: {e}"),
+            }
         }
         // A user sequence that does not increase is an error, not a panic.
         let mut c = good.clone();
         let at = c.blocks[1].offset_start;
         c.offsets[at] = c.offsets[at + 1];
         assert!(c.check_consistency().is_err());
+        assert!(load(&c).is_err());
     }
 
     #[test]

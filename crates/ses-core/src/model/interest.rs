@@ -691,7 +691,7 @@ pub(crate) fn user_keep_mask(num_users: usize, users: &[usize]) -> Vec<bool> {
 /// non-zeros held in two parallel arrays (`users[i]` indexes `values[i]`),
 /// so a column is a pair of contiguous slices the scoring kernel can stream
 /// without per-entry dispatch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SparseInterest {
     num_users: usize,
     /// `indptr[item]..indptr[item+1]` delimits item's entries.
@@ -704,7 +704,58 @@ pub struct SparseInterest {
     col_sums: Vec<f64>,
 }
 
+/// The serialized layout of [`SparseInterest`].
+#[derive(Deserialize)]
+struct SparseInterestRepr {
+    num_users: usize,
+    indptr: Vec<usize>,
+    users: Vec<u32>,
+    values: Vec<f64>,
+}
+
+// Loading goes through `from_parts`, so a malformed file is an error rather
+// than a later out-of-bounds panic, and the stored column sums are replaced
+// by a recompute (bitwise what a well-formed file holds).
+impl Deserialize for SparseInterest {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let r = SparseInterestRepr::from_value(v)?;
+        Self::from_parts(r.num_users, r.indptr, r.users, r.values).map_err(serde::Error::custom)
+    }
+}
+
 impl SparseInterest {
+    /// Assembles raw CSC arrays after checking them: `indptr` starts at 0,
+    /// never decreases and ends at the entry count, the two entry arrays
+    /// have equal length, and every column's users strictly increase below
+    /// `num_users`. The column sums are derived.
+    fn from_parts(
+        num_users: usize,
+        indptr: Vec<usize>,
+        users: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Result<Self, String> {
+        if indptr.first() != Some(&0) || indptr.last() != Some(&users.len()) {
+            return Err("sparse interest: indptr must run from 0 to the entry count".into());
+        }
+        if users.len() != values.len() {
+            return Err("sparse interest: user and value arrays differ in length".into());
+        }
+        for (item, w) in indptr.windows(2).enumerate() {
+            let col = users
+                .get(w[0]..w[1])
+                .ok_or_else(|| format!("sparse interest: item {item}: indptr is not monotone"))?;
+            if col.windows(2).any(|p| p[0] >= p[1]) {
+                return Err(format!("sparse interest: item {item}: users do not increase"));
+            }
+            if col.last().is_some_and(|&u| u as usize >= num_users) {
+                return Err(format!("sparse interest: item {item}: user out of range"));
+            }
+        }
+        let mut s = Self { num_users, indptr, users, values, col_sums: Vec::new() };
+        s.refresh_all_sums();
+        Ok(s)
+    }
+
     /// Number of stored non-zeros.
     #[inline]
     pub fn nnz(&self) -> usize {
@@ -1249,6 +1300,36 @@ mod tests {
         assert_eq!(m.column_sum(1).to_bits(), 0.5f64.to_bits());
         let short = r#"{"num_items":2,"num_users":2,"data":[0.5],"col_sums":[0.5,0.0]}"#;
         assert!(serde_json::from_str::<DenseInterest>(short).is_err());
+    }
+
+    /// Loading checks the CSC arrays instead of trusting them, and
+    /// re-derives the cached column sums.
+    #[test]
+    fn sparse_load_is_checked() {
+        let good = sample_dense().to_sparse_helper();
+        let load = |s: &SparseInterest| {
+            serde_json::from_str::<SparseInterest>(&serde_json::to_string(s).unwrap())
+        };
+        assert_eq!(load(&good).unwrap(), good);
+        type Tamper = fn(&mut SparseInterest);
+        let cases: [(&str, Tamper); 6] = [
+            ("indptr not from 0", |s| s.indptr[0] = 1),
+            ("indptr past the end", |s| *s.indptr.last_mut().unwrap() += 1),
+            ("indptr not monotone", |s| s.indptr[1] = s.users.len() + 1),
+            ("value array short", |s| {
+                s.values.pop();
+            }),
+            ("users do not increase", |s| s.users.swap(0, 1)),
+            ("user past |U|", |s| s.users[1] = s.num_users as u32),
+        ];
+        for (what, tamper) in cases {
+            let mut s = good.clone();
+            tamper(&mut s);
+            assert!(load(&s).is_err(), "{what}: loaded");
+        }
+        let mut stale = good.clone();
+        stale.col_sums[0] = 7.0;
+        assert_eq!(load(&stale).unwrap(), good);
     }
 
     #[test]

@@ -113,87 +113,6 @@ pub struct StaticCaches {
     weight_act_max: Vec<f64>,
 }
 
-/// Versioned serialized form of the engine's warm state — the
-/// competing-mass table plus [`StaticCaches`] — with every field laid out
-/// explicitly so durable snapshots never depend on in-memory layout.
-/// Produced by [`StaticCaches::to_state`], consumed by
-/// [`StaticCaches::from_state`]; round-trips bit for bit (the vendored
-/// JSON codec prints shortest-round-trip floats and parses them back to
-/// identical bits).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WarmCacheState {
-    /// Layout version; readers reject anything they do not speak.
-    pub version: u32,
-    /// Competing-mass table `C(u,t)`, `[t·|U| + u]`.
-    pub comp_mass: Vec<f64>,
-    /// Fused `w(u)·σ(u,t)` weight table, `[t·|U| + u]`.
-    pub weight_act: Vec<f64>,
-    /// Per-interval minimum competing mass (bound-gate invariant).
-    pub comp_min: Vec<f64>,
-    /// Per-interval maximum fused weight (bound-gate invariant).
-    pub weight_act_max: Vec<f64>,
-}
-
-impl WarmCacheState {
-    /// The layout version this build writes.
-    pub const VERSION: u32 = 1;
-}
-
-impl StaticCaches {
-    /// Serializes these caches plus their companion competing-mass table
-    /// into the explicit versioned layout.
-    pub fn to_state(&self, comp_mass: &[f64]) -> WarmCacheState {
-        WarmCacheState {
-            version: WarmCacheState::VERSION,
-            comp_mass: comp_mass.to_vec(),
-            weight_act: self.weight_act.clone(),
-            comp_min: self.comp_min.clone(),
-            weight_act_max: self.weight_act_max.clone(),
-        }
-    }
-
-    /// Rebuilds `(comp_mass, caches)` from a versioned state, validating
-    /// the version and every shape against an instance of `users` ×
-    /// `intervals`.
-    ///
-    /// # Errors
-    /// A rendered description of the first failing check (unsupported
-    /// version or shape mismatch) — callers wrap it in their own corrupt-
-    /// state error type.
-    pub fn from_state(
-        state: WarmCacheState,
-        users: usize,
-        intervals: usize,
-    ) -> Result<(Vec<f64>, Self), String> {
-        if state.version != WarmCacheState::VERSION {
-            return Err(format!(
-                "warm-cache state version {} (this build speaks {})",
-                state.version,
-                WarmCacheState::VERSION
-            ));
-        }
-        let cells = users * intervals;
-        for (what, len, want) in [
-            ("comp_mass", state.comp_mass.len(), cells),
-            ("weight_act", state.weight_act.len(), cells),
-            ("comp_min", state.comp_min.len(), intervals),
-            ("weight_act_max", state.weight_act_max.len(), intervals),
-        ] {
-            if len != want {
-                return Err(format!("warm-cache {what} has {len} cells, instance needs {want}"));
-            }
-        }
-        Ok((
-            state.comp_mass,
-            Self {
-                weight_act: state.weight_act,
-                comp_min: state.comp_min,
-                weight_act_max: state.weight_act_max,
-            },
-        ))
-    }
-}
-
 /// Wall-clock attribution of an engine's life, split by phase — the payload
 /// of `ses run --profile`. All values in nanoseconds of the engine's own
 /// sequential work (parallel candidate-generation time is folded in by the

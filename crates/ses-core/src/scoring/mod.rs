@@ -4,4 +4,4 @@
 mod engine;
 pub mod utility;
 
-pub use engine::{gain, EngineProfile, ScoringEngine, StaticCaches, WarmCacheState};
+pub use engine::{gain, EngineProfile, ScoringEngine, StaticCaches};

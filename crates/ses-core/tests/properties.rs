@@ -11,7 +11,7 @@ use ses_core::model::{
 use ses_core::parallel::{Threads, PAR_BLOCK};
 use ses_core::schedule::Schedule;
 use ses_core::scoring::utility::total_utility;
-use ses_core::scoring::{gain, ScoringEngine, StaticCaches, WarmCacheState};
+use ses_core::scoring::{gain, ScoringEngine};
 
 /// Quantized probability in [0, 1] (steps of 1/64) — avoids degenerate
 /// float noise while still hitting exact 0 and 1.
@@ -564,69 +564,120 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The durable-snapshot round trip of the engine's warm state:
-    /// `into_comp_mass` / `into_warm_parts` → versioned [`WarmCacheState`]
-    /// → JSON bytes → `from_state` → `from_comp_mass` /
-    /// `from_warm_parts` must be the identity, bit for bit — both on the
-    /// cache vectors themselves and on every score the rebuilt engine
-    /// produces. This is what lets a restored session keep the repairer's
-    /// warm caches without any reliance on in-memory layout.
-    #[test]
-    fn warm_cache_state_roundtrips_bit_for_bit(inst in small_instance()) {
-        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
-        let (comp_mass, caches) = ScoringEngine::new(&inst).into_warm_parts();
-        let state = caches.to_state(&comp_mass);
-        prop_assert_eq!(state.version, WarmCacheState::VERSION);
+/// An instance of 513–1 400 users over 2–7 competing events whose interest
+/// values are not dyadic, so a competing-mass sum taken in another order
+/// would show in the bits. About one value in five is zero.
+fn churn_instance() -> impl Strategy<Value = Instance> {
+    (PAR_BLOCK + 1..1_400usize, 1usize..=3, 2usize..=7, 0u8..2, 0u64..1_000_000).prop_map(
+        |(nu, nt, nc, weighted, seed)| {
+            let level = move |a: usize, b: usize| churn_value(seed, a, b);
+            let mut b = InstanceBuilder::new();
+            for l in 0..3 {
+                b.add_event(Event::new(LocationId::new(l), 1.0));
+            }
+            b.add_intervals(nt);
+            for c in 0..nc {
+                b.add_competing(CompetingEvent::new(IntervalId::new(c % nt)));
+            }
+            let act = (0..nu * nt).map(|i| level(99, i)).collect();
+            let mut b = b
+                .event_interest(DenseInterest::from_fn(3, nu, level))
+                .competing_interest(DenseInterest::from_fn(nc, nu, |c, u| level(3 + c, u)))
+                .activity(ActivityMatrix::from_raw(nu, nt, act).unwrap())
+                .resources(100.0);
+            if weighted == 1 {
+                b = b.user_weights((0..nu).map(|u| 0.5 + level(98, u)).collect());
+            }
+            b.build().unwrap()
+        },
+    )
+}
 
-        let json = serde_json::to_string(&state).unwrap();
-        let back: WarmCacheState = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(&back, &state);
-        prop_assert_eq!(bits(&back.comp_mass), bits(&comp_mass));
-
-        let (comp2, caches2) =
-            StaticCaches::from_state(back, inst.num_users(), inst.num_intervals()).unwrap();
-        prop_assert_eq!(bits(&comp2), bits(&comp_mass));
-
-        // The three rebuild paths — original parts, round-tripped parts,
-        // and comp-mass-only (static caches recomputed) — score every
-        // assignment with identical bits and extract identical tables.
-        let comp3 = comp2.clone();
-        let mut orig = ScoringEngine::from_warm_parts(
-            &inst, comp_mass, caches, Threads::sequential());
-        let mut warm = ScoringEngine::from_warm_parts(
-            &inst, comp2, caches2, Threads::sequential());
-        let mut cold = ScoringEngine::from_comp_mass(&inst, comp3, Threads::sequential());
-        for (e, t) in inst.assignment_universe() {
-            let a = orig.assignment_score(e, t);
-            prop_assert_eq!(a.to_bits(), warm.assignment_score(e, t).to_bits());
-            prop_assert_eq!(a.to_bits(), cold.assignment_score(e, t).to_bits());
-        }
-        prop_assert_eq!(bits(&orig.into_comp_mass()), bits(&warm.into_comp_mass()));
+/// A seeded value in `[0, 1)` with denominator 1 009, zero one time in five.
+fn churn_value(seed: u64, a: usize, b: usize) -> f64 {
+    let mut x = seed ^ (a as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (b as u64) << 20;
+    x ^= x >> 29;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 32;
+    if x.is_multiple_of(5) {
+        0.0
+    } else {
+        (x % 1_009) as f64 / 1_009.0
     }
+}
 
-    /// `from_state` refuses version and shape mismatches instead of
-    /// rebuilding an engine around tables that do not fit the instance.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A restored stream repairer rebuilds its competing-mass table and
+    /// static caches from a cold engine, so the table `refresh_comp_mass`
+    /// keeps up to date under user churn must equal a cold
+    /// `ScoringEngine::with_threads` table bit for bit. Checked after every
+    /// op of a random `AddUsers`/`RetireUsers` stream, on all three
+    /// layouts, at 1 and 4 threads: the tables, and every score and score
+    /// bound of an engine warm-started from the maintained table against
+    /// the cold engine.
     #[test]
-    fn warm_cache_state_rejects_mismatches(inst in small_instance()) {
-        let (comp_mass, caches) = ScoringEngine::new(&inst).into_warm_parts();
-        let (users, intervals) = (inst.num_users(), inst.num_intervals());
-
-        let mut future = caches.to_state(&comp_mass);
-        future.version = WarmCacheState::VERSION + 1;
-        prop_assert!(StaticCaches::from_state(future, users, intervals)
-            .unwrap_err()
-            .contains("version"));
-
-        let mut short = caches.to_state(&comp_mass);
-        short.comp_mass.push(0.5);
-        prop_assert!(StaticCaches::from_state(short, users, intervals)
-            .unwrap_err()
-            .contains("comp_mass"));
-
-        prop_assert!(
-            StaticCaches::from_state(caches.to_state(&comp_mass), users + 1, intervals).is_err()
-        );
+    fn refreshed_comp_mass_equals_a_cold_build(
+        inst in churn_instance(),
+        steps in (1usize..6).prop_flat_map(|n| {
+            proptest::collection::vec((0u8..2, 1usize..300, 0u64..1_000_000), n)
+        }),
+    ) {
+        use ses_core::delta::{self, DeltaOp, NewUser};
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        // One op list for every layout, built against the evolving user count.
+        let mut users = inst.num_users();
+        let mut ops = Vec::new();
+        for (i, &(add, n, seed)) in steps.iter().enumerate() {
+            if add == 1 {
+                let new_user = |j: usize| NewUser {
+                    event_interest: (0..3).map(|e| churn_value(seed, e, j)).collect(),
+                    competing_interest: (0..inst.num_competing())
+                        .map(|c| churn_value(seed, 3 + c, j))
+                        .collect(),
+                    activity: (0..inst.num_intervals()).map(|t| churn_value(seed, 99, t + j)).collect(),
+                    weight: inst.is_weighted().then(|| 0.5 + churn_value(seed, 98, j)),
+                };
+                ops.push(DeltaOp::AddUsers { users: (0..n).map(new_user).collect() });
+                users += n;
+            } else {
+                let gone: Vec<usize> =
+                    (0..users - 1).filter(|&u| churn_value(seed, i, u) == 0.0).take(n).collect();
+                if gone.is_empty() {
+                    continue;
+                }
+                users -= gone.len();
+                ops.push(DeltaOp::RetireUsers { users: gone });
+            }
+        }
+        for kind in StorageKind::ALL {
+            for threads in [Threads::sequential(), Threads::new(4)] {
+                let mut live = with_storage(&inst, kind);
+                let mut mass = ScoringEngine::with_threads(&live, threads).into_comp_mass();
+                for (step, op) in ops.iter().enumerate() {
+                    let effect = delta::apply(&mut live, op).expect("generated ops are valid");
+                    delta::refresh_comp_mass(&mut mass, &live, &effect);
+                    let mut cold = ScoringEngine::with_threads(&live, threads);
+                    let mut warm = ScoringEngine::from_comp_mass(&live, mass.clone(), threads);
+                    for (e, t) in live.assignment_universe() {
+                        prop_assert_eq!(
+                            warm.score_bound(e, t).to_bits(),
+                            cold.score_bound(e, t).to_bits()
+                        );
+                        prop_assert_eq!(
+                            warm.assignment_score(e, t).to_bits(),
+                            cold.assignment_score(e, t).to_bits(),
+                            "{} at {:?}, step {}: scores differ", kind, threads, step
+                        );
+                    }
+                    prop_assert_eq!(
+                        bits(&cold.into_comp_mass()), bits(&mass),
+                        "{} at {:?}, step {}: tables differ", kind, threads, step
+                    );
+                }
+            }
+        }
     }
 }
 
