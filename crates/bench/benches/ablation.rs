@@ -12,7 +12,7 @@
 //! 3. **Quality recovery** — HOR vs HOR+LS (local-search refinement) vs ALG.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ses_algorithms::SchedulerKind;
+use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_bench::{instance, threaded_label, Threads, BENCH_THREADS, BENCH_USERS};
 use ses_datasets::{meetup, Dataset, MeetupParams};
 use std::hint::black_box;

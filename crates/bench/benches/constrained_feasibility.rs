@@ -10,7 +10,7 @@
 //! dimension (results are bit-identical across it, as everywhere).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ses_algorithms::SchedulerKind;
+use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_bench::{threaded_label, Threads, BENCH_THREADS};
 use ses_core::schedule::Schedule;
 use ses_datasets::{ConstraintFamily, Dataset};

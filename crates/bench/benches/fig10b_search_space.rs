@@ -5,7 +5,7 @@
 //! `ses experiment fig10b`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ses_algorithms::SchedulerKind;
+use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_bench::{threaded_label, Threads, BENCH_THREADS, BENCH_USERS};
 use ses_datasets::Dataset;
 use std::hint::black_box;

@@ -3,7 +3,7 @@
 //! faster than ALG, with the largest factors at few intervals.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ses_algorithms::SchedulerKind;
+use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_bench::{instance, threaded_label, Threads, BENCH_THREADS};
 use ses_datasets::Dataset;
 use std::hint::black_box;

@@ -4,7 +4,7 @@
 //! HOR-I pull away from ALG as users grow.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ses_algorithms::SchedulerKind;
+use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_bench::{threaded_label, Threads, BENCH_THREADS};
 use ses_datasets::Dataset;
 use std::hint::black_box;

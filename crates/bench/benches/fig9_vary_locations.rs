@@ -3,7 +3,7 @@
 //! of locations grows (more feasible assignments survive pruning).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ses_algorithms::SchedulerKind;
+use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_bench::{threaded_label, Threads, BENCH_THREADS, BENCH_USERS};
 use ses_datasets::params::{InterestModel, SyntheticParams};
 use ses_datasets::synthetic;

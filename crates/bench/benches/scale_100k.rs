@@ -18,7 +18,7 @@
 //!   iteration converts that block between full and partial.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ses_algorithms::SchedulerKind;
+use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_bench::{record_gauge, threaded_label, Threads, BENCH_THREADS};
 use ses_core::delta::{self, DeltaOp};
 use ses_core::model::{Instance, StorageKind, COMPRESSED_BLOCK};

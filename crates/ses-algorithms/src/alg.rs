@@ -8,13 +8,12 @@
 //! per-interval recomputation — are exactly what INC/HOR/HOR-I attack.
 
 use crate::common::{
-    max_duration, score_table, stale_window, timed_result, Cand, RunConfig, ScheduleResult,
+    max_duration, run_with_engine, score_table, stale_window, Cand, RunConfig, ScheduleResult,
     Scheduler, Scratch, TableEntry,
 };
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
-use ses_core::scoring::{EngineProfile, ScoringEngine};
-use ses_core::stats::Stats;
+use ses_core::scoring::ScoringEngine;
 use ses_core::{EventId, IntervalId};
 
 /// The baseline greedy algorithm (see module docs).
@@ -33,30 +32,42 @@ impl Scheduler for Alg {
         cfg: RunConfig,
         scratch: &mut Scratch,
     ) -> ScheduleResult {
-        timed_result(self.name(), inst, k, || run_alg(inst, k, cfg, scratch))
+        run_with_engine(self.name(), inst, k, cfg, |engine| {
+            select(engine, k, &mut scratch.table, |_, gain| gain, false)
+        })
     }
 }
 
-fn run_alg(
-    inst: &Instance,
+/// ALG's selection: seeds `scores` with the scoring pass, then runs the
+/// full-scan loop over it.
+///
+/// `objective(event, gain)` maps every attendance gain — seeded or
+/// refreshed — to the selection score: the identity for ALG, the affine
+/// profit for [`ProfitGreedy`](crate::extensions::ProfitGreedy). With
+/// `stop_when_negative` the loop ends early once the best score is
+/// negative.
+pub(crate) fn select(
+    engine: &mut ScoringEngine<'_>,
     k: usize,
-    cfg: RunConfig,
-    scratch: &mut Scratch,
-) -> (Schedule, Stats, Option<EngineProfile>) {
+    scores: &mut Vec<Option<TableEntry>>,
+    objective: impl Fn(EventId, f64) -> f64,
+    stop_when_negative: bool,
+) -> Schedule {
+    let inst = engine.instance();
     let num_events = inst.num_events();
     let num_intervals = inst.num_intervals();
-    let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
-    if cfg.profile {
-        engine.enable_profiling();
-    }
     let mut schedule = Schedule::new(inst);
     let max_dur = max_duration(inst);
 
     // scores[t * |E| + e]; assignments that are infeasible even on the empty
     // schedule (only possible under the duration extension, where a spanning
     // event can run off the calendar) are born dead.
-    let scores = &mut scratch.table;
-    score_table(&mut engine, false, scores);
+    score_table(engine, false, scores);
+    for (idx, cell) in scores.iter_mut().enumerate() {
+        if let Some(c) = cell {
+            c.score = objective(EventId::new(idx % num_events), c.score);
+        }
+    }
 
     while schedule.len() < k {
         // Full scan for the top valid assignment (the paper's first
@@ -80,6 +91,9 @@ fn run_alg(
             }
         }
         let Some(chosen) = best else { break };
+        if stop_when_negative && chosen.score < 0.0 {
+            break;
+        }
 
         schedule
             .assign(inst, chosen.event, chosen.interval)
@@ -112,16 +126,13 @@ fn run_alg(
                 let (event, interval) = (EventId::new(e), IntervalId::new(ti));
                 scores[idx] =
                     schedule.is_valid_assignment(inst, event, interval).then(|| TableEntry {
-                        score: engine.assignment_score_update(event, interval),
+                        score: objective(event, engine.assignment_score_update(event, interval)),
                         exact: true,
                     });
             }
         }
     }
-
-    let stats = *engine.stats();
-    let profile = engine.take_profile();
-    (schedule, stats, profile)
+    schedule
 }
 
 #[cfg(test)]

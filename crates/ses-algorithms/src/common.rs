@@ -182,9 +182,10 @@ pub trait Scheduler {
     ) -> ScheduleResult;
 }
 
-/// Helper used by every implementation: times `f`, evaluates the utility of
-/// the returned schedule with the independent evaluator, and packs a
-/// [`ScheduleResult`].
+/// Times `f`, evaluates the utility of the returned schedule with the
+/// independent evaluator, and packs a [`ScheduleResult`]. Schedulers that
+/// score go through [`run_with_engine`]; RAND and the local-search wrapper
+/// call this directly.
 pub(crate) fn timed_result(
     name: &'static str,
     inst: &Instance,
@@ -196,6 +197,28 @@ pub(crate) fn timed_result(
     let elapsed = start.elapsed();
     let utility = total_utility(inst, &schedule);
     ScheduleResult { algorithm: name, k, schedule, utility, stats, elapsed, profile }
+}
+
+/// The one run path of every scoring scheduler: starts the clock, builds
+/// the engine at `cfg.threads` (profiling it when `cfg.profile` is set),
+/// runs the selection `body` on it, and packs the engine's [`Stats`] and
+/// profile, the independently evaluated Ω(S) and the elapsed time into a
+/// [`ScheduleResult`].
+pub(crate) fn run_with_engine<'a>(
+    name: &'static str,
+    inst: &'a Instance,
+    k: usize,
+    cfg: RunConfig,
+    body: impl FnOnce(&mut ScoringEngine<'a>) -> Schedule,
+) -> ScheduleResult {
+    timed_result(name, inst, k, || {
+        let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
+        if cfg.profile {
+            engine.enable_profiling();
+        }
+        let schedule = body(&mut engine);
+        (schedule, *engine.stats(), engine.take_profile())
+    })
 }
 
 /// One assignment of a per-interval candidate list: the shape INC, HOR-I,

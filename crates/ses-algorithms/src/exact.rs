@@ -26,11 +26,10 @@
 //! already-scheduled conflict partner rules an event out entirely, all `|T|`
 //! assign branches are skipped in one check instead of failing one by one.
 
-use crate::common::{timed_result, RunConfig, ScheduleResult, Scheduler, Scratch};
+use crate::common::{run_with_engine, RunConfig, ScheduleResult, Scheduler, Scratch};
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
-use ses_core::scoring::{EngineProfile, ScoringEngine};
-use ses_core::stats::Stats;
+use ses_core::scoring::ScoringEngine;
 use ses_core::{EventId, IntervalId};
 
 /// Exact solver; see module docs. Practical only for roughly
@@ -50,14 +49,14 @@ impl Scheduler for Exact {
         cfg: RunConfig,
         _scratch: &mut Scratch,
     ) -> ScheduleResult {
-        timed_result(self.name(), inst, k, || run_exact(inst, k, cfg))
+        run_with_engine(self.name(), inst, k, cfg, |engine| run_exact(engine, k))
     }
 }
 
-struct Search<'a, 'b> {
+struct Search<'e, 'a> {
     inst: &'a Instance,
     k: usize,
-    engine: ScoringEngine<'b>,
+    engine: &'e mut ScoringEngine<'a>,
     schedule: Schedule,
     /// Per event: its best initial score (an upper bound on any future
     /// marginal gain, by monotonicity), sorted copies used for bounding.
@@ -120,15 +119,8 @@ impl Search<'_, '_> {
     }
 }
 
-fn run_exact(
-    inst: &Instance,
-    k: usize,
-    cfg: RunConfig,
-) -> (Schedule, Stats, Option<EngineProfile>) {
-    let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
-    if cfg.profile {
-        engine.enable_profiling();
-    }
+fn run_exact(engine: &mut ScoringEngine<'_>, k: usize) -> Schedule {
+    let inst = engine.instance();
     let empty = Schedule::new(inst);
     let mut event_bound = vec![0.0f64; inst.num_events()];
     for (event, interval) in inst.assignment_universe() {
@@ -152,9 +144,7 @@ fn run_exact(
         best_schedule: Schedule::new(inst),
     };
     search.dfs(0, 0.0);
-    let stats = *search.engine.stats();
-    let profile = search.engine.take_profile();
-    (search.best_schedule, stats, profile)
+    search.best_schedule
 }
 
 #[cfg(test)]

@@ -9,14 +9,13 @@
 //! remaining assignment has negative marginal profit (scheduling it would
 //! lose money), whereas attendance-greedy always fills `k`.
 
-use crate::common::{timed_result, Cand, RunConfig, ScheduleResult, Scheduler, Scratch};
+use crate::alg;
+use crate::common::{run_with_engine, RunConfig, ScheduleResult, Scheduler, Scratch};
 use ses_core::model::Instance;
-use ses_core::schedule::Schedule;
-use ses_core::scoring::ScoringEngine;
-use ses_core::{EventId, IntervalId};
+use ses_core::EventId;
 
-/// Greedy maximizer of expected profit (ALG-style selection over
-/// profit-adjusted scores).
+/// Greedy maximizer of expected profit: ALG's selection loop
+/// ([`alg::select`]) over profit-adjusted scores.
 #[derive(Debug, Clone, Copy)]
 pub struct ProfitGreedy {
     /// Revenue per expected attendee.
@@ -50,79 +49,11 @@ impl Scheduler for ProfitGreedy {
         inst: &Instance,
         k: usize,
         cfg: RunConfig,
-        _scratch: &mut Scratch,
+        scratch: &mut Scratch,
     ) -> ScheduleResult {
-        timed_result(self.name(), inst, k, || {
-            let num_events = inst.num_events();
-            let num_intervals = inst.num_intervals();
-            let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
-            if cfg.profile {
-                engine.enable_profiling();
-            }
-            let mut schedule = Schedule::new(inst);
-
-            let mut scores: Vec<Option<f64>> = Vec::with_capacity(num_events * num_intervals);
-            for t in 0..num_intervals {
-                for e in 0..num_events {
-                    let (event, interval) = (EventId::new(e), IntervalId::new(t));
-                    scores.push(if schedule.is_valid_assignment(inst, event, interval) {
-                        let gain = engine.assignment_score(event, interval);
-                        Some(self.profit(inst, event, gain))
-                    } else {
-                        None
-                    });
-                }
-            }
-
-            while schedule.len() < k {
-                let mut best: Option<Cand> = None;
-                for t in 0..num_intervals {
-                    let interval = IntervalId::new(t);
-                    for e in 0..num_events {
-                        let idx = t * num_events + e;
-                        let Some(score) = scores[idx] else { continue };
-                        engine.stats_mut().record_examined(1);
-                        let event = EventId::new(e);
-                        if !schedule.is_valid_assignment(inst, event, interval) {
-                            scores[idx] = None;
-                            continue;
-                        }
-                        let cand = Cand::new(score, interval, event);
-                        if best.is_none_or(|b| cand.beats(&b)) {
-                            best = Some(cand);
-                        }
-                    }
-                }
-                let Some(chosen) = best else { break };
-                if self.stop_when_unprofitable && chosen.score < 0.0 {
-                    break;
-                }
-                schedule
-                    .assign(inst, chosen.event, chosen.interval)
-                    .expect("scanned assignment must be valid");
-                engine.apply(chosen.event, chosen.interval);
-                for t in 0..num_intervals {
-                    scores[t * num_events + chosen.event.index()] = None;
-                }
-                let tp = chosen.interval.index();
-                for e in 0..num_events {
-                    let idx = tp * num_events + e;
-                    if scores[idx].is_none() {
-                        continue;
-                    }
-                    let event = EventId::new(e);
-                    if schedule.is_valid_assignment(inst, event, chosen.interval) {
-                        let gain = engine.assignment_score_update(event, chosen.interval);
-                        scores[idx] = Some(self.profit(inst, event, gain));
-                    } else {
-                        scores[idx] = None;
-                    }
-                }
-            }
-
-            let stats = *engine.stats();
-            let profile = engine.take_profile();
-            (schedule, stats, profile)
+        run_with_engine(self.name(), inst, k, cfg, |engine| {
+            let objective = |e, gain| self.profit(inst, e, gain);
+            alg::select(engine, k, &mut scratch.table, objective, self.stop_when_unprofitable)
         })
     }
 }

@@ -18,13 +18,12 @@
 //!   utility is identical and the observed gap averages 0.008%.
 
 use crate::common::{
-    better, max_duration, score_table, stale_window, timed_result, Cand, RunConfig, ScheduleResult,
-    Scheduler, Scratch,
+    better, max_duration, run_with_engine, score_table, stale_window, Cand, RunConfig,
+    ScheduleResult, Scheduler, Scratch,
 };
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
-use ses_core::scoring::{EngineProfile, ScoringEngine};
-use ses_core::stats::Stats;
+use ses_core::scoring::ScoringEngine;
 use ses_core::{EventId, IntervalId};
 
 /// The Horizontal Assignment algorithm (see module docs).
@@ -43,7 +42,7 @@ impl Scheduler for Hor {
         cfg: RunConfig,
         scratch: &mut Scratch,
     ) -> ScheduleResult {
-        timed_result(self.name(), inst, k, || run_hor(inst, k, cfg, scratch))
+        run_with_engine(self.name(), inst, k, cfg, |engine| run_hor(engine, k, scratch))
     }
 }
 
@@ -53,18 +52,10 @@ fn sort_list(list: &mut [(f64, EventId)]) {
     list.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores").then(a.1.cmp(&b.1)));
 }
 
-fn run_hor(
-    inst: &Instance,
-    k: usize,
-    cfg: RunConfig,
-    scratch: &mut Scratch,
-) -> (Schedule, Stats, Option<EngineProfile>) {
+fn run_hor(engine: &mut ScoringEngine<'_>, k: usize, scratch: &mut Scratch) -> Schedule {
+    let inst = engine.instance();
     let num_events = inst.num_events();
     let num_intervals = inst.num_intervals();
-    let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
-    if cfg.profile {
-        engine.enable_profiling();
-    }
     let mut schedule = Schedule::new(inst);
     let max_dur = max_duration(inst);
     let mut first_round = true;
@@ -84,7 +75,7 @@ fn run_hor(
         if first_round {
             // The score-all first round is the shared scoring pass (row
             // fan-out at `threads > 1`) read back row by row.
-            score_table(&mut engine, false, table);
+            score_table(engine, false, table);
             for (t, list) in lists.iter_mut().enumerate() {
                 list.extend(
                     (0..num_events).filter_map(|e| {
@@ -148,14 +139,8 @@ fn run_hor(
             } else {
                 // The event was claimed by another interval this round:
                 // fall back to the interval's next free entry (line 14).
-                m[tp] = next_free(
-                    inst,
-                    &lists[tp],
-                    &mut cursor[tp],
-                    &schedule,
-                    top.interval,
-                    &mut engine,
-                );
+                m[tp] =
+                    next_free(inst, &lists[tp], &mut cursor[tp], &schedule, top.interval, engine);
             }
         }
 
@@ -164,9 +149,7 @@ fn run_hor(
         }
     }
 
-    let stats = *engine.stats();
-    let profile = engine.take_profile();
-    (schedule, stats, profile)
+    schedule
 }
 
 /// Advances the cursor past entries that are no longer assignable (event

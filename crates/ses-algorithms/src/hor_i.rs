@@ -19,13 +19,12 @@
 //! HOR-I is identical to HOR whenever one round suffices (`k ≤ |T|`).
 
 use crate::common::{
-    better, max_duration, score_table, seed_interval_lists, stale_window, timed_result, Cand,
+    better, max_duration, run_with_engine, score_table, seed_interval_lists, stale_window, Cand,
     Entry, RunConfig, ScheduleResult, Scheduler, Scratch,
 };
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
-use ses_core::scoring::{EngineProfile, ScoringEngine};
-use ses_core::stats::Stats;
+use ses_core::scoring::ScoringEngine;
 use ses_core::IntervalId;
 
 /// The Horizontal Assignment with Incremental Updating algorithm
@@ -45,7 +44,9 @@ impl Scheduler for HorI {
         cfg: RunConfig,
         scratch: &mut Scratch,
     ) -> ScheduleResult {
-        timed_result(self.name(), inst, k, || run_hor_i(inst, k, cfg, scratch))
+        run_with_engine(self.name(), inst, k, cfg, |engine| {
+            run_hor_i(engine, k, cfg.bound_gate, scratch)
+        })
     }
 }
 
@@ -147,17 +148,13 @@ fn fallback(
 }
 
 fn run_hor_i(
-    inst: &Instance,
+    engine: &mut ScoringEngine<'_>,
     k: usize,
-    cfg: RunConfig,
+    gate: bool,
     scratch: &mut Scratch,
-) -> (Schedule, Stats, Option<EngineProfile>) {
-    let gate = cfg.bound_gate;
+) -> Schedule {
+    let inst = engine.instance();
     let num_intervals = inst.num_intervals();
-    let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
-    if cfg.profile {
-        engine.enable_profiling();
-    }
     let mut schedule = Schedule::new(inst);
     let max_dur = max_duration(inst);
     let Scratch { table, lists, m, .. } = scratch;
@@ -169,12 +166,12 @@ fn run_hor_i(
             // initial scores, or (bound-first gate) with O(duration) bound
             // seeds that the round-1 walk below lazily refreshes where they
             // can still reach the interval's Φ.
-            score_table(&mut engine, gate, table);
+            score_table(engine, gate, table);
             seed_interval_lists(inst, table, lists, m);
             if gate {
                 for (t, list) in lists.iter_mut().enumerate() {
                     let interval = IntervalId::new(t);
-                    walk_interval(inst, &mut engine, &schedule, &mut list.entries, interval, false);
+                    walk_interval(inst, engine, &schedule, &mut list.entries, interval, false);
                 }
             }
             first_round = false;
@@ -184,7 +181,7 @@ fn run_hor_i(
             for t in 0..num_intervals {
                 walk_interval(
                     inst,
-                    &mut engine,
+                    engine,
                     &schedule,
                     &mut lists[t].entries,
                     IntervalId::new(t),
@@ -236,8 +233,7 @@ fn run_hor_i(
                     m[ti] = None;
                 }
             } else {
-                m[tp] =
-                    fallback(inst, &mut engine, &schedule, &mut lists[tp].entries, top.interval);
+                m[tp] = fallback(inst, engine, &schedule, &mut lists[tp].entries, top.interval);
             }
         }
 
@@ -246,9 +242,7 @@ fn run_hor_i(
         }
     }
 
-    let stats = *engine.stats();
-    let profile = engine.take_profile();
-    (schedule, stats, profile)
+    schedule
 }
 
 #[cfg(test)]

@@ -26,13 +26,12 @@
 //! score as the interval's upper bound, which is both correct and effective.
 
 use crate::common::{
-    best_candidate, better, max_duration, score_table, seed_interval_lists, stale_window,
-    timed_result, Cand, IntervalList, RunConfig, ScheduleResult, Scheduler, Scratch, TableEntry,
+    best_candidate, better, max_duration, run_with_engine, score_table, seed_interval_lists,
+    stale_window, Cand, IntervalList, RunConfig, ScheduleResult, Scheduler, Scratch, TableEntry,
 };
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
-use ses_core::scoring::{EngineProfile, ScoringEngine};
-use ses_core::stats::Stats;
+use ses_core::scoring::ScoringEngine;
 use ses_core::IntervalId;
 
 /// The Incremental Updating algorithm (see module docs).
@@ -51,7 +50,9 @@ impl Scheduler for Inc {
         cfg: RunConfig,
         scratch: &mut Scratch,
     ) -> ScheduleResult {
-        timed_result(self.name(), inst, k, || run_inc(inst, k, cfg, scratch))
+        run_with_engine(self.name(), inst, k, cfg, |engine| {
+            run_inc(engine, k, cfg.bound_gate, scratch)
+        })
     }
 }
 
@@ -235,17 +236,13 @@ fn update_interval(sel: &mut Selection<'_, '_>, i: usize, mut phi: Option<Cand>)
 }
 
 fn run_inc(
-    inst: &Instance,
+    engine: &mut ScoringEngine<'_>,
     k: usize,
-    cfg: RunConfig,
+    gate: bool,
     scratch: &mut Scratch,
-) -> (Schedule, Stats, Option<EngineProfile>) {
-    let num_intervals = inst.num_intervals();
+) -> Schedule {
+    let num_intervals = engine.instance().num_intervals();
     let Scratch { table, lists, m, pending, .. } = scratch;
-    let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
-    if cfg.profile {
-        engine.enable_profiling();
-    }
 
     // Initial pass over the full |E| × |T| universe (same as ALG).
     // Duration-extension guard: spanning events that run off the calendar
@@ -261,8 +258,8 @@ fn run_inc(
     // `score_updates` shows how many were eventually swept). Selection is
     // untouched: any candidate tying or beating the final Φ has
     // `bound ≥ true ≥ Φ` and is therefore refreshed before the choice.
-    score_table(&mut engine, cfg.bound_gate, table);
-    let mut sel = Selection::seed(&mut engine, table, cfg.bound_gate, lists, m);
+    score_table(engine, gate, table);
+    let mut sel = Selection::seed(engine, table, gate, lists, m);
 
     sel.select(k, |sel, mut phi| {
         // Visit partially-updated intervals in descending front-bound order
@@ -280,10 +277,7 @@ fn run_inc(
         }
     });
 
-    let schedule = sel.schedule;
-    let stats = *engine.stats();
-    let profile = engine.take_profile();
-    (schedule, stats, profile)
+    sel.schedule
 }
 
 #[cfg(test)]

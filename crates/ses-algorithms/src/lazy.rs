@@ -18,12 +18,11 @@
 //! what the interval organization buys on top of lazy evaluation.
 
 use crate::common::{
-    score_table, timed_result, Cand, HeapEntry, RunConfig, ScheduleResult, Scheduler, Scratch,
+    run_with_engine, score_table, Cand, HeapEntry, RunConfig, ScheduleResult, Scheduler, Scratch,
 };
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
-use ses_core::scoring::{EngineProfile, ScoringEngine};
-use ses_core::stats::Stats;
+use ses_core::scoring::ScoringEngine;
 use ses_core::{EventId, IntervalId};
 use std::collections::BinaryHeap;
 
@@ -43,20 +42,19 @@ impl Scheduler for LazyGreedy {
         cfg: RunConfig,
         scratch: &mut Scratch,
     ) -> ScheduleResult {
-        timed_result(self.name(), inst, k, || run_lazy(inst, k, cfg, scratch))
+        run_with_engine(self.name(), inst, k, cfg, |engine| {
+            run_lazy(engine, k, cfg.bound_gate, scratch)
+        })
     }
 }
 
 fn run_lazy(
-    inst: &Instance,
+    engine: &mut ScoringEngine<'_>,
     k: usize,
-    cfg: RunConfig,
+    gate: bool,
     scratch: &mut Scratch,
-) -> (Schedule, Stats, Option<EngineProfile>) {
-    let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
-    if cfg.profile {
-        engine.enable_profiling();
-    }
+) -> Schedule {
+    let inst = engine.instance();
     let mut schedule = Schedule::new(inst);
     let num_e = inst.num_events();
     let mut epoch = vec![0u64; inst.num_intervals()];
@@ -77,7 +75,7 @@ fn run_lazy(
     // counts the seeds; `score_updates` the sweeps eventually paid).
     // Selections are untouched: a bound is a sound upper bound, and the
     // sentinel epoch forces a sweep before the entry can be selected.
-    score_table(&mut engine, cfg.bound_gate, &mut scratch.table);
+    score_table(engine, gate, &mut scratch.table);
     scratch.heap.clear();
     scratch.heap.extend(scratch.table.iter().enumerate().filter_map(|(idx, cell)| {
         let (event, interval) = (EventId::new(idx % num_e), IntervalId::new(idx / num_e));
@@ -116,9 +114,7 @@ fn run_lazy(
         v.clear();
         v
     };
-    let stats = *engine.stats();
-    let profile = engine.take_profile();
-    (schedule, stats, profile)
+    schedule
 }
 
 #[cfg(test)]

@@ -14,12 +14,17 @@
 //! | `EXACT`   | [`exact`]  | — | optimal (tiny instances; test oracle) |
 //! | `LAZY`    | [`lazy`]   | — | CELF-style ablation; same solution as ALG |
 //! | `REFINED` | [`refine`] | — | local-search post-processing (extension) |
+//! | `PROFIT`  | [`extensions`] | §2.1 profit variant | ALG's loop over `revenue·gain − cost` |
 //! | `STREAM`  | [`stream`] | — | incremental repair under delta-op streams; same solution as a full recompute |
 //!
 //! All schedulers implement the [`Scheduler`] trait, share one deterministic
 //! tie-break order (see [`common::Cand`]), and report a [`ScheduleResult`]
 //! carrying the schedule, its independently evaluated utility Ω(S), the
-//! paper's instrumentation counters, and wall time.
+//! paper's instrumentation counters, and wall time. Every scoring scheduler
+//! runs through one crate-internal helper that builds and profiles its
+//! engine and packs that result, so a scheduler module holds only its
+//! selection. [`SchedulerKind`] is the one table that names, resolves and
+//! runs them.
 //!
 //! ```
 //! use ses_algorithms::prelude::*;
@@ -50,16 +55,17 @@ pub mod top;
 
 pub use common::{RunConfig, ScheduleResult, Scheduler, Scratch};
 pub use service::{
-    DurableService, NetConfig, Request, Response, SchedulerRegistry, SesService, SessionBackend,
-    SessionManager,
+    DurableService, NetConfig, Request, Response, SesService, SessionBackend, SessionManager,
 };
 
 use serde::{Deserialize, Serialize};
+use ses_core::error::ServiceError;
 use ses_core::model::Instance;
-use ses_core::parallel::Threads;
 
-/// Enumerates the available schedulers — the currency of the experiment
-/// harness and CLI.
+/// Enumerates the available schedulers — the one scheduler table. The CLI,
+/// the experiment harness and the service name, resolve and run every
+/// scheduler through it; it implements [`Scheduler`] by dispatching to the
+/// named type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SchedulerKind {
     /// Baseline greedy of [4] (§3.1).
@@ -83,6 +89,21 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
+    /// Every kind, with `RAND` seeded 0 (the seed [`parse`](Self::parse)
+    /// assigns). This order is the `known:` list of an unknown-algorithm
+    /// error.
+    pub const ALL: [SchedulerKind; 9] = [
+        Self::Alg,
+        Self::Inc,
+        Self::Hor,
+        Self::HorI,
+        Self::Top,
+        Self::Rand(0),
+        Self::Exact,
+        Self::Lazy,
+        Self::RefinedHor,
+    ];
+
     /// The paper's display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -114,29 +135,38 @@ impl SchedulerKind {
         }
     }
 
-    /// Runs the scheduler on `inst` with the given `k` and the ambient
-    /// thread resolution (`SES_THREADS` or sequential).
-    pub fn run(self, inst: &Instance, k: usize) -> ScheduleResult {
-        self.run_threaded(inst, k, Threads::default())
+    /// [`parse`](Self::parse) with the service's error: an unknown name is
+    /// [`ServiceError::UnknownAlgorithm`] carrying the names of
+    /// [`ALL`](Self::ALL).
+    ///
+    /// # Errors
+    /// [`ServiceError::UnknownAlgorithm`] when `name` parses to no kind.
+    pub fn resolve(name: &str) -> Result<Self, ServiceError> {
+        Self::parse(name).ok_or_else(|| ServiceError::UnknownAlgorithm {
+            name: name.to_string(),
+            known: Self::ALL.iter().map(|k| k.name()).collect(),
+        })
     }
 
-    /// Runs the scheduler with an explicit worker-thread count. Every kind
-    /// is bit-identical across counts (see `tests/parallel_equivalence.rs`).
-    pub fn run_threaded(self, inst: &Instance, k: usize, threads: Threads) -> ScheduleResult {
-        self.run_configured(inst, k, RunConfig::threaded(threads), &mut Scratch::new())
+    /// The six methods of the paper's evaluation (§4.1), in plot order.
+    pub fn paper_lineup() -> [SchedulerKind; 6] {
+        [Self::Alg, Self::Inc, Self::Hor, Self::HorI, Self::Top, Self::Rand(0)]
+    }
+}
+
+impl Scheduler for SchedulerKind {
+    fn name(&self) -> &'static str {
+        SchedulerKind::name(*self)
     }
 
-    /// Runs the scheduler with full [`RunConfig`] control and a caller-owned
-    /// [`Scratch`] (allocation-free across repeated runs; see
-    /// [`Scheduler::run_configured`]).
-    pub fn run_configured(
-        self,
+    fn run_configured(
+        &self,
         inst: &Instance,
         k: usize,
         cfg: RunConfig,
         scratch: &mut Scratch,
     ) -> ScheduleResult {
-        match self {
+        match *self {
             Self::Alg => alg::Alg.run_configured(inst, k, cfg, scratch),
             Self::Inc => inc::Inc.run_configured(inst, k, cfg, scratch),
             Self::Hor => hor::Hor.run_configured(inst, k, cfg, scratch),
@@ -152,11 +182,6 @@ impl SchedulerKind {
             }
         }
     }
-
-    /// The six methods of the paper's evaluation (§4.1), in plot order.
-    pub fn paper_lineup() -> [SchedulerKind; 6] {
-        [Self::Alg, Self::Inc, Self::Hor, Self::HorI, Self::Top, Self::Rand(0)]
-    }
 }
 
 /// Convenient glob-import: the scheduler types and trait.
@@ -171,7 +196,7 @@ pub mod prelude {
     pub use crate::lazy::LazyGreedy;
     pub use crate::random::Rand;
     pub use crate::refine::{LocalSearch, Refined};
-    pub use crate::service::{Request, Response, SchedulerRegistry, SesService};
+    pub use crate::service::{Request, Response, SesService};
     pub use crate::stream::StreamScheduler;
     pub use crate::top::Top;
     pub use crate::SchedulerKind;
@@ -181,6 +206,7 @@ pub mod prelude {
 mod tests {
     use super::*;
     use ses_core::model::running_example;
+    use ses_core::parallel::Threads;
 
     #[test]
     fn parse_names() {
@@ -195,12 +221,67 @@ mod tests {
 
     #[test]
     fn every_kind_runs() {
-        // The registry is the canonical every-kind table — no local copy.
+        // `ALL` is the canonical every-kind table — no local copy.
         let inst = running_example();
-        for kind in service::SchedulerRegistry::standard().kinds() {
+        for kind in SchedulerKind::ALL {
             let res = kind.run(&inst, 2);
             assert_eq!(res.algorithm, kind.name());
             assert!(res.schedule.verify_feasible(&inst).is_ok(), "{}", kind.name());
         }
+    }
+
+    #[test]
+    fn all_covers_every_kind() {
+        let names: Vec<&str> = SchedulerKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(
+            names,
+            vec!["ALG", "INC", "HOR", "HOR-I", "TOP", "RAND", "EXACT", "LAZY", "HOR+LS"]
+        );
+        // Every parsed name lands in the table.
+        for name in names {
+            assert!(SchedulerKind::ALL.contains(&SchedulerKind::parse(name).unwrap()));
+        }
+    }
+
+    #[test]
+    fn resolve_accepts_aliases_and_rejects_unknowns() {
+        let name = |s: &str| SchedulerKind::resolve(s).unwrap().name();
+        assert_eq!(name("hor-i"), "HOR-I");
+        assert_eq!(name("hori"), "HOR-I");
+        assert_eq!(name("random"), "RAND");
+        assert_eq!(name("refined"), "HOR+LS");
+        let err = SchedulerKind::resolve("bogus").unwrap_err();
+        match &err {
+            ServiceError::UnknownAlgorithm { name, known } => {
+                assert_eq!(name, "bogus");
+                assert!(known.contains(&"INC"));
+            }
+            other => panic!("wrong error {other:?}"),
+        }
+        assert!(err.is_usage());
+    }
+
+    /// Running every kind twice through one shared scratch pool must be
+    /// bit-identical to a run on a fresh pool: no kind's leftovers leak
+    /// into another's result.
+    #[test]
+    fn shared_scratch_runs_match_direct_runs() {
+        let inst = running_example();
+        let cfg = RunConfig::threaded(Threads::sequential());
+        let mut scratch = Scratch::new();
+        for kind in SchedulerKind::ALL.iter().chain(&SchedulerKind::ALL) {
+            let shared = kind.run_configured(&inst, 3, cfg, &mut scratch);
+            let direct = kind.run_configured(&inst, 3, cfg, &mut Scratch::new());
+            assert_eq!(shared.algorithm, direct.algorithm);
+            assert_eq!(shared.schedule.assignments(), direct.schedule.assignments());
+            assert_eq!(shared.utility.to_bits(), direct.utility.to_bits());
+            assert_eq!(shared.stats, direct.stats);
+        }
+    }
+
+    #[test]
+    fn paper_lineup_follows_plot_order() {
+        let names: Vec<&str> = SchedulerKind::paper_lineup().iter().map(|k| k.name()).collect();
+        assert_eq!(names, vec!["ALG", "INC", "HOR", "HOR-I", "TOP", "RAND"]);
     }
 }

@@ -192,13 +192,16 @@ impl<S: Scheduler> Scheduler for Refined<S> {
         let mut stats = base.stats;
         let profile = base.profile;
         let mut schedule = base.schedule;
-        timed_result(self.name(), inst, k, || {
+        let mut res = timed_result(self.name(), inst, k, || {
             let (_, search_stats) = self.search.refine_threaded(inst, &mut schedule, cfg.threads);
             stats += search_stats;
             // The profile covers the base run; the local-search engine is
             // not instrumented.
             (schedule, stats, profile)
-        })
+        });
+        // The time covers the base run and the search.
+        res.elapsed += base.elapsed;
+        res
     }
 }
 
@@ -223,6 +226,32 @@ mod tests {
             assert!((after - (before + gain)).abs() < 1e-9, "reported gain must be exact");
             assert!(schedule.verify_feasible(&inst).is_ok());
         }
+    }
+
+    /// The reported time covers the base run, not only the search: a base
+    /// scheduler reporting an hour makes the refined run report at least
+    /// that.
+    #[test]
+    fn elapsed_includes_the_base_run() {
+        struct HourLongTop;
+        impl Scheduler for HourLongTop {
+            fn name(&self) -> &'static str {
+                "TOP"
+            }
+            fn run_configured(
+                &self,
+                inst: &Instance,
+                k: usize,
+                cfg: RunConfig,
+                scratch: &mut Scratch,
+            ) -> ScheduleResult {
+                let mut res = Top.run_configured(inst, k, cfg, scratch);
+                res.elapsed = std::time::Duration::from_secs(3600);
+                res
+            }
+        }
+        let res = Refined::new(HourLongTop).run(&running_example(), 3);
+        assert!(res.elapsed >= std::time::Duration::from_secs(3600), "{:?}", res.elapsed);
     }
 
     /// On the running example the greedy is suboptimal (Ω ≈ 1.4073 vs

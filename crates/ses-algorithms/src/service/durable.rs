@@ -68,6 +68,32 @@ pub struct RecoveryReport {
     pub fell_back: u64,
 }
 
+impl RecoveryReport {
+    /// The boot-banner detail both serve transports print:
+    /// `fresh durable session (generation 0)`, or `recovered generation G
+    /// (N log records replayed…); dataset flags ignored`, naming a
+    /// truncated torn tail and any snapshots fallen back past.
+    pub fn banner(&self) -> String {
+        if self.fresh {
+            return format!("fresh durable session (generation {})", self.generation);
+        }
+        let mut out = format!(
+            "recovered generation {} ({} log records replayed",
+            self.generation, self.replayed
+        );
+        if let Some(at) = self.torn {
+            out.push_str(&format!(", torn final record truncated at byte {at}"));
+        }
+        if self.fell_back > 0 {
+            out.push_str(&format!(", fell back past {} corrupt snapshot(s)", self.fell_back));
+        }
+        // Recovery wins over the dataset flags: the instance the session
+        // answers from is the recovered one.
+        out.push_str("); dataset flags ignored");
+        out
+    }
+}
+
 /// Read-only findings of [`inspect`] — what `ses recover` prints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Inspection {

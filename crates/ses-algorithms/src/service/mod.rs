@@ -8,9 +8,8 @@
 //!
 //! * the live [`Instance`] (mutated in place by [`Request::ApplyOps`]) —
 //!   always owned here, cold or warm;
-//! * a [`SchedulerRegistry`] (the canonical list of scheduler kinds,
-//!   replacing the ad-hoc name tables that used to be duplicated across
-//!   crates);
+//! * name resolution through [`SchedulerKind::resolve`] (the one
+//!   scheduler table, [`SchedulerKind::ALL`]);
 //! * one persistent [`Scratch`] pool shared by every scheduler (a session
 //!   runs one request at a time), so repeated `Schedule` requests re-run
 //!   allocation-free;
@@ -39,17 +38,17 @@
 //! golden transcript leans on this.
 //!
 //! [`Scheduler::run_configured`]: crate::common::Scheduler::run_configured
+//! [`SchedulerKind::resolve`]: crate::SchedulerKind::resolve
+//! [`SchedulerKind::ALL`]: crate::SchedulerKind::ALL
 
 pub mod durable;
 pub mod net;
-mod registry;
 pub mod wire;
 
 pub use durable::{DurableService, Inspection, RecoveryReport};
 pub use net::{NetConfig, SessionBackend, SessionManager};
-pub use registry::SchedulerRegistry;
 
-use crate::common::{RunConfig, ScheduleResult, Scratch};
+use crate::common::{RunConfig, ScheduleResult, Scheduler, Scratch};
 use crate::stream::{replay_schedule, RepairReport, StreamScheduler, StreamState};
 use serde::{Deserialize, Serialize, Value};
 use ses_core::delta::{self, DeltaOp};
@@ -60,19 +59,28 @@ use ses_core::schedule::{Assignment, Schedule};
 use ses_core::stats::Stats;
 use ses_core::{EventId, IntervalId};
 
+/// The largest `threads` a `Schedule` or `Repair` request may ask for;
+/// larger counts are rejected as invalid arguments before any state
+/// changes. A fixed constant, not the machine's width, so a logged request
+/// replays to the same answer on every machine. The worker pool keeps one
+/// pool per distinct count for the life of the process, so the cap also
+/// bounds how many pools requests can create.
+pub const MAX_REQUEST_THREADS: usize = 64;
+
 /// One request against a [`SesService`] — the typed currency of the wire
 /// protocol and of [`SesService::handle`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// Run one registered scheduler on the current instance.
+    /// Run one named scheduler on the current instance.
     Schedule {
         /// Scheduler name (case-insensitive, aliases accepted: `hor-i`,
         /// `hori`, `random`, …).
         algorithm: String,
         /// Number of assignments to select.
         k: usize,
-        /// Worker threads (`0` = machine width); omitted = the service's
-        /// default. Bit-identical results for every count.
+        /// Worker threads (`0` = machine width, at most
+        /// [`MAX_REQUEST_THREADS`]); omitted = the service's default.
+        /// Bit-identical results for every count.
         #[serde(default)]
         threads: Option<usize>,
         /// Opt-in bound-first gate (selection-neutral; counters only).
@@ -111,7 +119,8 @@ pub enum Request {
     Repair {
         /// Schedule size the repairer maintains.
         k: usize,
-        /// Worker threads (`0` = machine width); omitted = service default.
+        /// Worker threads (`0` = machine width, at most
+        /// [`MAX_REQUEST_THREADS`]); omitted = service default.
         #[serde(default)]
         threads: Option<usize>,
         /// Opt-in bound-first gate for the repair's lazy refreshes.
@@ -771,7 +780,6 @@ fn stream_state_v1(v: &Value) -> Result<(Instance, StreamState), serde::Error> {
 /// The long-lived session service (see the module docs).
 #[derive(Debug)]
 pub struct SesService {
-    registry: SchedulerRegistry,
     /// The warm selection buffers every scheduler run reuses.
     scratch: Scratch,
     /// The live instance, cold or warm.
@@ -785,11 +793,10 @@ pub struct SesService {
 }
 
 impl SesService {
-    /// A service over `inst` with the standard registry and the ambient
-    /// thread default (`SES_THREADS` or sequential).
+    /// A service over `inst` with the ambient thread default
+    /// (`SES_THREADS` or sequential).
     pub fn new(inst: Instance) -> Self {
         Self {
-            registry: SchedulerRegistry::standard(),
             scratch: Scratch::new(),
             inst,
             stream: None,
@@ -806,11 +813,6 @@ impl SesService {
     pub fn with_threads(mut self, threads: Threads) -> Self {
         self.default_threads = threads;
         self
-    }
-
-    /// The registry this service schedules from.
-    pub fn registry(&self) -> &SchedulerRegistry {
-        &self.registry
     }
 
     /// The live instance in its current (post-ops) state.
@@ -852,14 +854,21 @@ impl SesService {
 
     /// Resolves a request-level thread override against the service
     /// default.
-    fn resolve_threads(&self, threads: Option<usize>) -> Threads {
+    ///
+    /// # Errors
+    /// [`ServiceError::InvalidArgument`] for a count above
+    /// [`MAX_REQUEST_THREADS`].
+    fn resolve_threads(&self, threads: Option<usize>) -> Result<Threads, ServiceError> {
         match threads {
-            Some(n) => Threads::new(n),
-            None => self.default_threads,
+            Some(n) if n > MAX_REQUEST_THREADS => Err(ServiceError::invalid(format!(
+                "threads {n} exceeds the per-request limit of {MAX_REQUEST_THREADS}"
+            ))),
+            Some(n) => Ok(Threads::new(n)),
+            None => Ok(self.default_threads),
         }
     }
 
-    /// Runs one registered scheduler on the current instance with the
+    /// Runs one named scheduler on the current instance with the
     /// service's warm scratch. Bit-identical — schedule, utility bits, full
     /// [`Stats`] — to a cold `run_configured` with the same config.
     ///
@@ -871,12 +880,11 @@ impl SesService {
         k: usize,
         cfg: RunConfig,
     ) -> Result<ScheduleResult, ServiceError> {
-        let kind = self.registry.kind(self.registry.resolve(algorithm)?);
-        Ok(self.schedule_kind(kind, k, cfg))
+        Ok(self.schedule_kind(crate::SchedulerKind::resolve(algorithm)?, k, cfg))
     }
 
     /// [`schedule`](Self::schedule) for an explicit [`SchedulerKind`],
-    /// registered or not (e.g. a custom `Rand` seed).
+    /// in [`SchedulerKind::ALL`] or not (e.g. a custom `Rand` seed).
     ///
     /// [`SchedulerKind`]: crate::SchedulerKind
     pub fn schedule_kind(
@@ -1160,12 +1168,12 @@ impl SesService {
     fn dispatch(&mut self, req: &Request) -> Result<Response, ServiceError> {
         match req {
             Request::Schedule { algorithm, k, threads, gate, profile, constraints } => {
+                let cfg = RunConfig::threaded(self.resolve_threads(*threads)?)
+                    .with_bound_gate(*gate)
+                    .with_profile(*profile);
                 if let Some(cs) = constraints {
                     self.set_constraints(cs.clone())?;
                 }
-                let cfg = RunConfig::threaded(self.resolve_threads(*threads))
-                    .with_bound_gate(*gate)
-                    .with_profile(*profile);
                 let res = self.schedule(algorithm, *k, cfg)?;
                 Ok(Response::Scheduled {
                     algorithm: res.algorithm.to_string(),
@@ -1188,7 +1196,7 @@ impl SesService {
             }
             Request::Repair { k, threads, gate } => {
                 let cfg =
-                    RunConfig::threaded(self.resolve_threads(*threads)).with_bound_gate(*gate);
+                    RunConfig::threaded(self.resolve_threads(*threads)?).with_bound_gate(*gate);
                 let out = self.repair(*k, cfg)?;
                 let stream = self.stream.as_ref().expect("repair arms the repairer");
                 Ok(Response::Repaired {

@@ -2,7 +2,7 @@
 //!
 //! Promotes the single stdio session into a TCP server in which **many
 //! named sessions live in one process**, each owning its own
-//! [`SesService`] (live instance, scheduler registry, warm repairer
+//! [`SesService`] (live instance, scratch pool, warm repairer
 //! caches) and — under `--state-dir` — its own [`DurableService`] in
 //! `<state-dir>/<name>`. The wire protocol is the existing v1 JSON-lines
 //! envelope with one forward-compatible addition: an optional `"session"`
@@ -47,7 +47,7 @@
 //! connections that send nothing, and `--max-connections` answers excess
 //! connects with exactly one protocol `Error` line before closing.
 
-use super::durable::DurableService;
+use super::durable::{DurableService, RecoveryReport};
 use super::{is_read_only, wire, ReadView, Request, Response, SesService, SessionInfo};
 use ses_core::error::ServiceError;
 use ses_core::model::Instance;
@@ -263,8 +263,10 @@ pub struct SessionBoot {
     pub recovered: bool,
     /// Log records replayed during recovery (0 for fresh sessions).
     pub replayed: u64,
-    /// Snapshot generation recovered from (0 for fresh sessions).
-    pub generation: u64,
+    /// What opening the session's state directory did — torn tail and
+    /// snapshot fallback included. `None` for an in-memory session and for
+    /// a name that was already live.
+    pub recovery: Option<RecoveryReport>,
 }
 
 /// The process-wide registry of named sessions: opens, closes, lists,
@@ -359,7 +361,7 @@ impl SessionManager {
                 durable: existing.durable(),
                 recovered: false,
                 replayed: 0,
-                generation: 0,
+                recovery: None,
             });
         }
         if sessions.len() >= self.max_sessions {
@@ -376,7 +378,7 @@ impl SessionManager {
                     durable: false,
                     recovered: false,
                     replayed: 0,
-                    generation: 0,
+                    recovery: None,
                 };
                 (SessionBackend::Plain(svc), boot)
             }
@@ -392,7 +394,7 @@ impl SessionManager {
                     durable: true,
                     recovered: !report.fresh,
                     replayed: report.replayed,
-                    generation: report.generation,
+                    recovery: Some(report),
                 };
                 (SessionBackend::Durable(svc), boot)
             }
@@ -582,17 +584,9 @@ pub fn serve(cfg: &NetConfig, template: Instance) -> Result<ServeReport, Service
         cfg.max_sessions,
     )?;
     for b in &boots {
-        if b.recovered {
-            eprintln!(
-                "# ses serve [session:{}]: recovered generation {} ({} log records replayed)",
-                b.session, b.generation, b.replayed,
-            );
-        } else {
-            eprintln!(
-                "# ses serve [session:{}]: fresh {} session",
-                b.session,
-                if b.durable { "durable" } else { "in-memory" },
-            );
+        match &b.recovery {
+            Some(report) => eprintln!("# ses serve [session:{}]: {}", b.session, report.banner()),
+            None => eprintln!("# ses serve [session:{}]: fresh in-memory session", b.session),
         }
     }
     let manager = Arc::new(manager);

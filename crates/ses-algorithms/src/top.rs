@@ -8,12 +8,11 @@
 //! into few intervals and reporting "considerably low utility scores".
 
 use crate::common::{
-    score_table, timed_result, Cand, RunConfig, ScheduleResult, Scheduler, Scratch,
+    run_with_engine, score_table, Cand, RunConfig, ScheduleResult, Scheduler, Scratch,
 };
 use ses_core::model::Instance;
 use ses_core::schedule::Schedule;
-use ses_core::scoring::{EngineProfile, ScoringEngine};
-use ses_core::stats::Stats;
+use ses_core::scoring::ScoringEngine;
 use ses_core::{EventId, IntervalId};
 
 /// The TOP baseline (see module docs).
@@ -32,24 +31,16 @@ impl Scheduler for Top {
         cfg: RunConfig,
         scratch: &mut Scratch,
     ) -> ScheduleResult {
-        timed_result(self.name(), inst, k, || run_top(inst, k, cfg, scratch))
+        run_with_engine(self.name(), inst, k, cfg, |engine| run_top(engine, k, scratch))
     }
 }
 
-fn run_top(
-    inst: &Instance,
-    k: usize,
-    cfg: RunConfig,
-    scratch: &mut Scratch,
-) -> (Schedule, Stats, Option<EngineProfile>) {
-    let mut engine = ScoringEngine::with_threads(inst, cfg.threads);
-    if cfg.profile {
-        engine.enable_profiling();
-    }
+fn run_top(engine: &mut ScoringEngine<'_>, k: usize, scratch: &mut Scratch) -> Schedule {
+    let inst = engine.instance();
     let mut schedule = Schedule::new(inst);
     let num_e = inst.num_events();
 
-    score_table(&mut engine, false, &mut scratch.table);
+    score_table(engine, false, &mut scratch.table);
     let mut cands: Vec<Cand> = scratch
         .table
         .iter()
@@ -79,9 +70,7 @@ fn run_top(
         }
     }
 
-    let stats = *engine.stats();
-    let profile = engine.take_profile();
-    (schedule, stats, profile)
+    schedule
 }
 
 #[cfg(test)]

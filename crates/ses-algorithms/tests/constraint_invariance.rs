@@ -7,7 +7,7 @@
 //! feasibility gate runs inside the hot path on every candidate.
 
 use proptest::prelude::*;
-use ses_algorithms::SchedulerKind;
+use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_core::parallel::{Threads, PAR_BLOCK};
 use ses_core::Instance;
 use ses_datasets::{ConstraintFamily, Dataset};

@@ -2,18 +2,16 @@
 //! comparison table (optionally with the bound-first gate and a per-phase
 //! timing breakdown).
 //!
-//! A thin client of [`SesService`]: the lineup resolves through the
-//! service's [`SchedulerRegistry`] (no local name table) and every run
-//! reuses the service's warm scratch pool. Results are bit-identical to
-//! direct `run_configured` calls.
-//!
-//! [`SchedulerRegistry`]: ses_algorithms::SchedulerRegistry
+//! A thin client of [`SesService`]: the lineup resolves through
+//! [`SchedulerKind::resolve`] (no local name table) and every run reuses
+//! the service's warm scratch pool. Results are bit-identical to direct
+//! `run_configured` calls.
 
 use crate::args::Args;
 use crate::commands::{
     apply_constraints_flag, dataset_from_flags, input_instance_flag, storage_from_flags,
 };
-use ses_algorithms::{RunConfig, SesService};
+use ses_algorithms::{RunConfig, SchedulerKind, SesService};
 use ses_core::error::ServiceError;
 use ses_core::parallel::Threads;
 
@@ -55,32 +53,23 @@ pub fn exec(args: &Args) -> Result<(), ServiceError> {
             inst.event_interest.heap_bytes() as f64 / (1024.0 * 1024.0),
         );
     }
-    // One service for the whole lineup: the registry resolves names and the
-    // shared scratch pool makes repeat runs allocation-free.
-    let mut service = SesService::new(inst).with_threads(threads);
-
-    // Canonical `&'static str` names outlive the registry borrow, so the
-    // lineup costs no allocation per name.
-    let lineup: Vec<&'static str> = match args.opt_flag("algorithms") {
-        None => {
-            let reg = service.registry();
-            reg.paper_indices().into_iter().map(|i| reg.name(i)).collect()
-        }
+    let lineup: Vec<SchedulerKind> = match args.opt_flag("algorithms") {
+        None => SchedulerKind::paper_lineup().to_vec(),
+        // Resolve eagerly so a typo fails (exit 2) before any run.
         Some(spec) => {
-            let reg = service.registry();
-            spec.split(',')
-                // Resolve eagerly so a typo fails (exit 2) before any run.
-                .map(|s| reg.resolve(s.trim()).map(|i| reg.name(i)))
-                .collect::<Result<_, _>>()?
+            spec.split(',').map(|s| SchedulerKind::resolve(s.trim())).collect::<Result<_, _>>()?
         }
     };
+    // One service for the whole lineup: its shared scratch pool makes
+    // repeat runs allocation-free.
+    let mut service = SesService::new(inst).with_threads(threads);
 
     println!(
         "{:>8} {:>14} {:>10} {:>16} {:>14} {:>12} {:>10} {:>10}",
         "method", "utility", "|S|", "computations", "examined", "updates", "skips", "time"
     );
-    for name in &lineup {
-        let res = service.schedule(name, k, cfg)?;
+    for &kind in &lineup {
+        let res = service.schedule_kind(kind, k, cfg);
         println!(
             "{:>8} {:>14.4} {:>10} {:>16} {:>14} {:>12} {:>10} {:>9.1}ms",
             res.algorithm,

@@ -135,28 +135,10 @@ pub fn exec(args: &Args) -> Result<(), ServiceError> {
             let snapshot_every = args.num_flag("snapshot-ops", DEFAULT_SNAPSHOT_OPS)?;
             let (svc, report) =
                 DurableService::open(Path::new(dir), inst, threads, snapshot_every)?;
-            if report.fresh {
-                eprintln!(
-                    "# ses serve [session:{DEFAULT_SESSION}]: state-dir={dir} fresh durable \
-                     session (generation 0)"
-                );
-            } else {
-                // Recovery wins over the dataset flags: the instance the
-                // session answers from is the recovered one.
-                let torn = match report.torn {
-                    Some(at) => format!(", torn final record truncated at byte {at}"),
-                    None => String::new(),
-                };
-                let fell = match report.fell_back {
-                    0 => String::new(),
-                    n => format!(", fell back past {n} corrupt snapshot(s)"),
-                };
-                eprintln!(
-                    "# ses serve [session:{DEFAULT_SESSION}]: state-dir={dir} recovered \
-                     generation {} ({} log records replayed{torn}{fell}); dataset flags ignored",
-                    report.generation, report.replayed,
-                );
-            }
+            eprintln!(
+                "# ses serve [session:{DEFAULT_SESSION}]: state-dir={dir} {}",
+                report.banner()
+            );
             SessionBackend::Durable(svc)
         }
     };

@@ -19,7 +19,7 @@ use crate::commands::{
     apply_constraints_flag, dataset_from_flags, input_instance_flag, storage_from_flags,
 };
 use ses_algorithms::stream::StreamScheduler;
-use ses_algorithms::{RunConfig, SchedulerKind, SesService};
+use ses_algorithms::{RunConfig, Scheduler, SchedulerKind, SesService};
 use ses_core::delta::{self, DeltaOp};
 use ses_core::error::ServiceError;
 use ses_core::model::Instance;

@@ -283,7 +283,9 @@ fn session_control_over_the_wire() {
 /// SIGKILL a durable multi-session server mid-traffic, reboot over the
 /// same state directory: every named session recovers at boot (with
 /// `[session:NAME]`-prefixed diagnostics) and answers exactly what it
-/// answered before the kill.
+/// answered before the kill. A torn record planted at the end of one
+/// session's log — a crash mid-append — is truncated, and the boot banner
+/// says so, as it does on stdio.
 #[test]
 fn sigkill_then_reboot_recovers_every_durable_session() {
     let dir = std::env::temp_dir().join(format!("ses-net-cli-{}", std::process::id()));
@@ -301,6 +303,13 @@ fn sigkill_then_reboot_recovers_every_durable_session() {
         roundtrip(&mut stream, &in_session("{\"v\":1,\"req\":\"Snapshot\"}", "crash"));
     server.sigkill();
 
+    // Plant a torn tail: a header prefix after the last whole record.
+    let wal = ses_core::durable::wal_path(&dir.join("crash"), 0);
+    let torn_at = std::fs::metadata(&wal).expect("crash session log").len();
+    let mut log = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
+    log.write_all(&[0xAB; 5]).unwrap();
+    drop(log);
+
     let server = Server::start(&["--state-dir", &dir_s]);
     let mut stream = server.connect();
     let snap_after = roundtrip(&mut stream, &in_session("{\"v\":1,\"req\":\"Snapshot\"}", "crash"));
@@ -311,6 +320,11 @@ fn sigkill_then_reboot_recovers_every_durable_session() {
     assert_eq!(status.code(), Some(0));
     assert!(stderr.contains("[session:crash]"), "{stderr}");
     assert!(stderr.contains("recovered generation"), "{stderr}");
+    let torn_line = format!(
+        "[session:crash]: recovered generation 0 (1 log records replayed, torn final record \
+         truncated at byte {torn_at}); dataset flags ignored"
+    );
+    assert!(stderr.contains(&torn_line), "{stderr}");
 
     // `ses recover` understands the multi-session layout: one read-only
     // report per session subdirectory, in sorted name order.

@@ -14,6 +14,10 @@ fn ses() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ses"))
 }
 
+/// The instance shape every golden transcript in this file is pinned on.
+const SHAPE: &[&str] =
+    &["--dataset", "unf", "--users", "40", "--events", "12", "--intervals", "6", "--seed", "1509"];
+
 /// Pipes a request script through `ses serve` (the shared shape flags plus
 /// any `extra` args) and byte-compares the response log against a committed
 /// golden transcript. Responses carry no wall-clock fields and are
@@ -25,19 +29,8 @@ fn assert_serve_golden(extra: &[&str], script_path: &str, golden_path: &str) {
     let golden = std::fs::read_to_string(root.join(golden_path)).unwrap();
 
     let mut child = ses()
-        .args([
-            "serve",
-            "--dataset",
-            "unf",
-            "--users",
-            "40",
-            "--events",
-            "12",
-            "--intervals",
-            "6",
-            "--seed",
-            "1509",
-        ])
+        .arg("serve")
+        .args(SHAPE)
         .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -74,6 +67,85 @@ fn serve_round_trips_the_constrained_golden_transcript() {
     );
 }
 
+/// The hostile golden: edge-of-range `k`, over-cap `threads`, out-of-range
+/// interest, a zero window, empty and unsorted user batches, a short
+/// interest column, `u64::MAX` query ids and retiring every user. Each
+/// line comes back as one response and the session keeps serving.
+#[test]
+fn serve_round_trips_the_hostile_golden_transcript() {
+    assert_serve_golden(
+        &[],
+        "scripts/serve-hostile-smoke.jsonl",
+        "tests/golden/serve_hostile.jsonl",
+    );
+}
+
+/// Runs `lines` through one `ses serve` session on the shared shape plus
+/// `extra`, returning (exit success, stdout lines, stderr).
+fn serve_lines(extra: &[&str], lines: &[&str]) -> (bool, Vec<String>, String) {
+    let mut child = ses()
+        .arg("serve")
+        .args(SHAPE)
+        .args(extra)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ses serve");
+    let mut stdin = child.stdin.take().unwrap();
+    for line in lines {
+        writeln!(stdin, "{line}").unwrap();
+    }
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap().lines().map(str::to_string).collect();
+    (out.status.success(), stdout, String::from_utf8(out.stderr).unwrap())
+}
+
+const OVER_CAP_SCHEDULE: &str =
+    r#"{"v":1,"req":{"Schedule":{"algorithm":"INC","k":3,"threads":100000}}}"#;
+const OVER_CAP_REPAIR: &str = r#"{"v":1,"req":{"Repair":{"k":3,"threads":65}}}"#;
+const SCHEDULE_INC: &str = r#"{"v":1,"req":{"Schedule":{"algorithm":"INC","k":3}}}"#;
+const SNAPSHOT: &str = r#"{"v":1,"req":"Snapshot"}"#;
+
+/// A `threads` count above the per-request cap used to spawn that many
+/// workers and abort the process. It is an `invalid-argument` error now,
+/// and the session answers the next request as if it never came.
+#[test]
+fn over_cap_threads_is_rejected_and_the_session_keeps_serving() {
+    let (ok, got, _) =
+        serve_lines(&[], &[OVER_CAP_SCHEDULE, OVER_CAP_REPAIR, SNAPSHOT, SCHEDULE_INC]);
+    let (_, clean, _) = serve_lines(&[], &[SNAPSHOT, SCHEDULE_INC]);
+    assert!(ok, "serve must survive an over-cap thread count");
+    assert_eq!(got.len(), 4, "{got:?}");
+    for line in &got[..2] {
+        assert!(line.contains(r#""code":"invalid-argument""#), "{line}");
+        assert!(line.contains("per-request limit of 64"), "{line}");
+    }
+    assert_eq!(got[2..], clean[..], "a rejected request must leave no trace");
+}
+
+/// A durable session logs mutating requests before it validates them, so
+/// an over-cap request lands in the write-ahead log. Replaying it on
+/// restart must answer the same error again — not abort recovery — and
+/// leave the recovered state equal to the live one.
+#[test]
+fn over_cap_threads_record_replays_from_the_log() {
+    let dir = std::env::temp_dir().join(format!("ses-serve-cli-threads-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let state_dir = ["--state-dir", dir.to_str().unwrap()];
+
+    let (ok, live, _) = serve_lines(&state_dir, &[OVER_CAP_SCHEDULE, SCHEDULE_INC, SNAPSHOT]);
+    assert!(ok);
+    assert!(live[0].contains(r#""code":"invalid-argument""#), "{}", live[0]);
+
+    let (ok, recovered, stderr) = serve_lines(&state_dir, &[SNAPSHOT]);
+    assert!(ok, "recovery must survive the logged over-cap record");
+    assert!(stderr.contains("(2 log records replayed"), "{stderr}");
+    assert_eq!(recovered, live[2..], "replay must rebuild the live state");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A second session over the same script must produce the same bytes —
 /// the transcript is deterministic, not merely pinned.
 #[test]
@@ -82,19 +154,8 @@ fn serve_is_deterministic_across_sessions() {
     let script = std::fs::read_to_string(root.join("scripts/serve-smoke.jsonl")).unwrap();
     let run = || {
         let mut child = ses()
-            .args([
-                "serve",
-                "--dataset",
-                "unf",
-                "--users",
-                "40",
-                "--events",
-                "12",
-                "--intervals",
-                "6",
-                "--seed",
-                "1509",
-            ])
+            .arg("serve")
+            .args(SHAPE)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())

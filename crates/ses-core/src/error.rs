@@ -386,11 +386,11 @@ pub enum ServiceError {
         /// The underlying rejection.
         source: DeltaError,
     },
-    /// A scheduler name did not resolve against the registry.
+    /// A scheduler name did not resolve to a `SchedulerKind`.
     UnknownAlgorithm {
         /// The unresolvable name.
         name: String,
-        /// The canonical names the registry does know.
+        /// The canonical names of every `SchedulerKind`.
         known: Vec<&'static str>,
     },
     /// An entity index (event/interval/user) was outside the instance.

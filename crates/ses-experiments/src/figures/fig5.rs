@@ -4,7 +4,8 @@
 //! Per Table 1 the other dimensions track `k`: `|E| = 5k`, `|T| = 3k/2`.
 
 use crate::report::{FigureReport, Metric};
-use crate::runner::{par_rows, run_lineup_threaded, standard_kinds, ExperimentConfig};
+use crate::runner::{par_rows, run_lineup_threaded, ExperimentConfig};
+use ses_algorithms::SchedulerKind;
 use ses_datasets::Dataset;
 
 /// The swept `k` values (quick mode truncates the heaviest points).
@@ -19,7 +20,7 @@ pub fn sweep(config: &ExperimentConfig) -> Vec<usize> {
 /// Runs Figure 5. Sweep rows fan out across `config.threads` workers; the
 /// report is byte-identical for every width (rows stay in input order).
 pub fn run(config: &ExperimentConfig) -> FigureReport {
-    let kinds = standard_kinds();
+    let kinds = SchedulerKind::paper_lineup();
     let mut jobs = Vec::new();
     // Dedup after scaling: at small dim_scale two k values can collapse to
     // the same scheduled size, which would collide as duplicate x points.
@@ -61,7 +62,7 @@ mod tests {
         let mut config = ExperimentConfig::smoke();
         config.num_users = 60;
         // Only the smallest sweep point for the smoke test.
-        let kinds = standard_kinds();
+        let kinds = SchedulerKind::paper_lineup();
         let inst = Dataset::Unf.build(config.num_users, 100, 30, 1);
         let recs = run_lineup("fig5", "Unf", "k", 20.0, &inst, 20, &kinds);
         assert_eq!(recs.len(), kinds.len());

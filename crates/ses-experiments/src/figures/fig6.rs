@@ -2,7 +2,8 @@
 //! (utility 6a–d, time 6e–h) with `k = 100`, `|E| = 500`.
 
 use crate::report::{FigureReport, Metric};
-use crate::runner::{par_rows, run_lineup_threaded, standard_kinds, ExperimentConfig};
+use crate::runner::{par_rows, run_lineup_threaded, ExperimentConfig};
+use ses_algorithms::SchedulerKind;
 use ses_datasets::Dataset;
 
 /// Swept `|T|` values (Table 1's Fig-6 axis).
@@ -19,7 +20,7 @@ pub const K: usize = 100;
 
 /// Runs Figure 6 (sweep rows fan out across `config.threads`).
 pub fn run(config: &ExperimentConfig) -> FigureReport {
-    let kinds = standard_kinds();
+    let kinds = SchedulerKind::paper_lineup();
     let k = config.dim(K);
     let mut jobs = Vec::new();
     for dataset in Dataset::ALL {
@@ -58,7 +59,7 @@ mod tests {
     /// interval + more candidate assignments).
     #[test]
     fn utility_grows_with_intervals() {
-        let kinds = [ses_algorithms::SchedulerKind::Hor];
+        let kinds = [SchedulerKind::Hor];
         let mut utilities = Vec::new();
         for t in [4usize, 16] {
             let inst = Dataset::Unf.build(80, 60, t, 3);

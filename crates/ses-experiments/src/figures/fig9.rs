@@ -6,7 +6,8 @@
 //! unaffected.
 
 use crate::report::{FigureReport, Metric};
-use crate::runner::{par_rows, run_lineup_threaded, standard_kinds, ExperimentConfig};
+use crate::runner::{par_rows, run_lineup_threaded, ExperimentConfig};
+use ses_algorithms::SchedulerKind;
 use ses_datasets::params::{InterestModel, SyntheticParams};
 use ses_datasets::synthetic;
 
@@ -26,7 +27,7 @@ pub const INTERVALS: usize = 65;
 
 /// Runs Figure 9 (sweep rows fan out across `config.threads`).
 pub fn run(config: &ExperimentConfig) -> FigureReport {
-    let kinds = standard_kinds();
+    let kinds = SchedulerKind::paper_lineup();
     let k = config.dim(K);
     let jobs = sweep(config);
     let records = par_rows(config.row_threads(), &jobs, |&locations| {
@@ -63,7 +64,6 @@ pub fn run(config: &ExperimentConfig) -> FigureReport {
 mod tests {
     use super::*;
     use crate::runner::run_lineup;
-    use ses_algorithms::SchedulerKind;
 
     /// §4.2.5: fewer locations ⇒ fewer feasible assignments ⇒ less work.
     /// To isolate the location effect the *same* instance is re-run with

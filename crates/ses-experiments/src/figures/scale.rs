@@ -15,7 +15,7 @@
 
 use crate::report::{FigureReport, Metric, RunRecord};
 use crate::runner::{par_rows, ExperimentConfig};
-use ses_algorithms::SchedulerKind;
+use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_core::model::StorageKind;
 use ses_datasets::{scale, InterestModel, SyntheticParams};
 use std::time::Instant;

@@ -6,7 +6,7 @@
 //!   a tiny average gap otherwise (paper: 0.008% mean, 1.3% max).
 
 use serde::{Deserialize, Serialize};
-use ses_algorithms::SchedulerKind;
+use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_datasets::Dataset;
 use std::fmt::Write as _;
 

@@ -29,4 +29,4 @@ pub mod report;
 pub mod runner;
 
 pub use report::{FigureReport, Metric, RunRecord};
-pub use runner::{run_lineup, standard_kinds, ExperimentConfig};
+pub use runner::{run_lineup, ExperimentConfig};

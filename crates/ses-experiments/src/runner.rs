@@ -207,13 +207,6 @@ where
     slots.into_iter().flatten().collect()
 }
 
-/// The paper's standard method lineup for time/computation plots —
-/// delegates to the single canonical table ([`SchedulerKind::paper_lineup`])
-/// instead of keeping a duplicate list.
-pub fn standard_kinds() -> Vec<SchedulerKind> {
-    SchedulerKind::paper_lineup().to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +215,7 @@ mod tests {
     #[test]
     fn lineup_produces_one_record_per_kind() {
         let inst = running_example();
-        let kinds = standard_kinds();
+        let kinds = SchedulerKind::paper_lineup();
         let recs = run_lineup("figX", "RE", "k", 3.0, &inst, 3, &kinds);
         assert_eq!(recs.len(), kinds.len());
         let algs: Vec<&str> = recs.iter().map(|r| r.algorithm.as_str()).collect();

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example algorithm_comparison`
 
-use social_event_scheduling::algorithms::SchedulerKind;
+use social_event_scheduling::algorithms::{Scheduler, SchedulerKind};
 use social_event_scheduling::datasets::Dataset;
 
 fn main() {

@@ -12,7 +12,7 @@
 //!    counts — the bound is computed from thread-invariant caches.
 
 use social_event_scheduling::algorithms::stream::StreamScheduler;
-use social_event_scheduling::algorithms::{RunConfig, SchedulerKind, Scratch};
+use social_event_scheduling::algorithms::{RunConfig, Scheduler, SchedulerKind, Scratch};
 use social_event_scheduling::core::delta;
 use social_event_scheduling::core::parallel::Threads;
 use social_event_scheduling::datasets::ops::{self, OpStreamParams};

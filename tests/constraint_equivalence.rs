@@ -23,7 +23,7 @@
 //! [`Stats`]: social_event_scheduling::Stats
 
 use social_event_scheduling::algorithms::stream::StreamScheduler;
-use social_event_scheduling::algorithms::SchedulerKind;
+use social_event_scheduling::algorithms::{Scheduler, SchedulerKind};
 use social_event_scheduling::core::parallel::{Threads, PAR_BLOCK};
 use social_event_scheduling::datasets::{ConstraintFamily, Dataset};
 use social_event_scheduling::{Instance, Schedule};

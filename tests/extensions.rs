@@ -28,6 +28,19 @@ fn durations_through_all_algorithms() {
         assert_eq!(alg.schedule.assignments(), lazy.schedule.assignments(), "k={k}");
         assert_eq!(hor.schedule.assignments(), hor_i.schedule.assignments(), "k={k}");
 
+        // Free events at one unit of revenue per attendee make profit the
+        // attendance gain itself, so PROFIT must select exactly as ALG —
+        // spanning events included.
+        let mut free = inst.clone();
+        for e in &mut free.events {
+            e.cost = 0.0;
+        }
+        let profit =
+            ProfitGreedy { revenue_per_attendee: 1.0, stop_when_unprofitable: false }.run(&free, k);
+        let alg_free = Alg.run(&free, k);
+        assert_eq!(profit.schedule.assignments(), alg_free.schedule.assignments(), "k={k}");
+        assert_eq!(profit.utility.to_bits(), alg_free.utility.to_bits(), "k={k}");
+
         for res in [&alg, &hor] {
             assert!(res.schedule.verify_feasible(&inst).is_ok());
             let omega = total_utility(&inst, &res.schedule);

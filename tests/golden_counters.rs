@@ -1,5 +1,5 @@
-//! Golden counters for every registered scheduler: one line per registry
-//! kind × bound-first gate {off, on} on one seeded Concerts instance, each
+//! Golden counters for every registered scheduler: one line per
+//! `SchedulerKind::ALL` kind × bound-first gate {off, on} on one seeded Concerts instance, each
 //! holding the run's full `Stats`, its utility bits and its assignments.
 //!
 //! The fig5 goldens pin only the paper's six methods with the gate off,
@@ -13,7 +13,7 @@
 //! rewritten `tests/golden/scheduler_counters.txt` and re-run without the
 //! variable.
 
-use social_event_scheduling::algorithms::{RunConfig, SchedulerRegistry, Scratch};
+use social_event_scheduling::algorithms::{RunConfig, Scheduler, SchedulerKind, Scratch};
 use social_event_scheduling::core::parallel::Threads;
 use social_event_scheduling::datasets::Dataset;
 use std::fmt::Write as _;
@@ -25,12 +25,11 @@ const GOLDEN: &str = include_str!("golden/scheduler_counters.txt");
 fn render(threads: usize) -> String {
     let inst = Dataset::Concerts.build(80, 9, 3, 0xC0DE);
     let k = 5;
-    let reg = SchedulerRegistry::standard();
     let mut out = String::new();
-    for idx in 0..reg.len() {
+    for kind in SchedulerKind::ALL {
         for gate in [false, true] {
             let cfg = RunConfig::threaded(Threads::new(threads)).with_bound_gate(gate);
-            let res = reg.kind(idx).run_configured(&inst, k, cfg, &mut Scratch::new());
+            let res = kind.run_configured(&inst, k, cfg, &mut Scratch::new());
             let sched: Vec<String> = res
                 .schedule
                 .assignments()

@@ -17,7 +17,7 @@
 
 use social_event_scheduling::algorithms::service::net::{NetSession, SessionBackend};
 use social_event_scheduling::algorithms::service::{wire, Query};
-use social_event_scheduling::algorithms::{Request, SchedulerRegistry, SesService, SessionManager};
+use social_event_scheduling::algorithms::{Request, SchedulerKind, SesService, SessionManager};
 use social_event_scheduling::core::parallel::Threads;
 use social_event_scheduling::datasets::ops::{self, OpStreamParams};
 use social_event_scheduling::datasets::Dataset;
@@ -124,15 +124,14 @@ fn prove_reads_never_blend(
     }
 }
 
-/// The acceptance matrix: every registry scheduler × every dataset at 1
+/// The acceptance matrix: every registered scheduler × every dataset at 1
 /// and 4 threads (EXACT on its tractable shape below).
 #[test]
 fn concurrent_reads_equal_pre_or_post_mutation_for_every_scheduler_and_dataset() {
-    let reg = SchedulerRegistry::standard();
     for dataset in Dataset::ALL {
         let inst = dataset.build(150, 24, 6, 0x5E5);
         for threads in THREAD_COUNTS {
-            for name in reg.names() {
+            for name in SchedulerKind::ALL.map(SchedulerKind::name) {
                 if name == "EXACT" {
                     continue;
                 }

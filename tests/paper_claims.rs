@@ -1,7 +1,7 @@
 //! The paper's cross-cutting claims, verified on all four (simulated)
 //! datasets at integration scale.
 
-use social_event_scheduling::algorithms::SchedulerKind;
+use social_event_scheduling::algorithms::{Scheduler, SchedulerKind};
 use social_event_scheduling::core::scoring::utility::total_utility;
 use social_event_scheduling::datasets::Dataset;
 

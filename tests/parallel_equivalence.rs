@@ -17,7 +17,7 @@
 //! (dense columns span ≥ 2 blocks), so the parallel summation path really
 //! executes rather than degenerating to the single-block fast path.
 
-use social_event_scheduling::algorithms::{SchedulerKind, SchedulerRegistry};
+use social_event_scheduling::algorithms::{Scheduler, SchedulerKind};
 use social_event_scheduling::core::model::StorageKind;
 use social_event_scheduling::core::parallel::{Threads, PAR_BLOCK};
 use social_event_scheduling::datasets::Dataset;
@@ -62,11 +62,10 @@ const SHAPES: [(usize, usize, usize); 2] = [
 
 #[test]
 fn all_schedulers_bit_identical_across_thread_counts() {
-    // The registry is the canonical scheduler table; this test takes every
-    // entry except EXACT (covered on a tractable shape below) and the
-    // aux/extension schedulers (covered on one instance below).
-    let kinds: Vec<SchedulerKind> = SchedulerRegistry::standard()
-        .kinds()
+    // `SchedulerKind::ALL` is the canonical scheduler table; this test
+    // takes every kind except EXACT (covered on a tractable shape below)
+    // and the aux/extension schedulers (covered on one instance below).
+    let kinds: Vec<SchedulerKind> = SchedulerKind::ALL
         .into_iter()
         .filter(|k| {
             !matches!(

@@ -2,7 +2,7 @@
 //! results, and experiment reports all survive JSON without behavioural
 //! drift.
 
-use social_event_scheduling::algorithms::SchedulerKind;
+use social_event_scheduling::algorithms::{Scheduler, SchedulerKind};
 use social_event_scheduling::core::Instance;
 use social_event_scheduling::datasets::Dataset;
 use social_event_scheduling::experiments::{run_lineup, FigureReport, Metric};

@@ -20,7 +20,9 @@
 //!   the two warm caches don't contaminate each other.
 
 use social_event_scheduling::algorithms::stream::StreamScheduler;
-use social_event_scheduling::algorithms::{RunConfig, SchedulerRegistry, Scratch, SesService};
+use social_event_scheduling::algorithms::{
+    RunConfig, Scheduler, SchedulerKind, Scratch, SesService,
+};
 use social_event_scheduling::core::parallel::Threads;
 use social_event_scheduling::core::stats::Stats;
 use social_event_scheduling::datasets::ops::{self, OpStreamParams};
@@ -58,19 +60,18 @@ fn assert_schedule_matches(
 /// tree explodes on this one).
 #[test]
 fn service_schedule_bit_identical_to_direct_runs() {
-    let reg = SchedulerRegistry::standard();
     for dataset in Dataset::ALL {
         let inst = dataset.build(150, 24, 6, 0x5E5);
         for threads in THREAD_COUNTS.map(Threads::new) {
             let cfg = RunConfig::threaded(threads);
             let mut service = SesService::new(inst.clone()).with_threads(threads);
-            for idx in 0..reg.len() {
-                let name = reg.name(idx);
+            for kind in SchedulerKind::ALL {
+                let name = kind.name();
                 if name == "EXACT" {
                     continue;
                 }
                 let via = service.schedule(name, 8, cfg).expect("registered name");
-                let direct = reg.kind(idx).run_configured(&inst, 8, cfg, &mut Scratch::new());
+                let direct = kind.run_configured(&inst, 8, cfg, &mut Scratch::new());
                 let label = format!("{}/{}/t{}", dataset.name(), name, threads.get());
                 assert_schedule_matches(&label, &via, &direct);
             }
@@ -86,9 +87,8 @@ fn service_exact_bit_identical_to_direct_run() {
         let cfg = RunConfig::threaded(threads);
         let mut service = SesService::new(inst.clone()).with_threads(threads);
         let via = service.schedule("exact", 3, cfg).unwrap();
-        let reg = SchedulerRegistry::standard();
-        let idx = reg.resolve("exact").unwrap();
-        let direct = reg.kind(idx).run_configured(&inst, 3, cfg, &mut Scratch::new());
+        let kind = SchedulerKind::resolve("exact").unwrap();
+        let direct = kind.run_configured(&inst, 3, cfg, &mut Scratch::new());
         assert_schedule_matches(&format!("Zip-exact/t{}", threads.get()), &via, &direct);
     }
 }
@@ -99,10 +99,10 @@ fn service_exact_bit_identical_to_direct_run() {
 /// into results. The gated and profiled configurations ride along.
 #[test]
 fn warm_service_stable_across_hundreds_of_requests() {
-    let reg = SchedulerRegistry::standard();
     let inst = Dataset::Unf.build(120, 20, 5, 0xA11);
     let mut service = SesService::new(inst.clone()).with_threads(Threads::sequential());
-    let lineup: Vec<&'static str> = reg.names().into_iter().filter(|n| *n != "EXACT").collect();
+    let lineup: Vec<&'static str> =
+        SchedulerKind::ALL.map(SchedulerKind::name).into_iter().filter(|n| *n != "EXACT").collect();
     let configs = [
         RunConfig::threaded(Threads::sequential()),
         RunConfig::threaded(Threads::sequential()).with_bound_gate(true),
@@ -113,8 +113,8 @@ fn warm_service_stable_across_hundreds_of_requests() {
     let mut reference = Vec::new();
     for cfg in configs {
         for name in &lineup {
-            let idx = reg.resolve(name).unwrap();
-            reference.push(reg.kind(idx).run_configured(&inst, 7, cfg, &mut Scratch::new()));
+            let kind = SchedulerKind::resolve(name).unwrap();
+            reference.push(kind.run_configured(&inst, 7, cfg, &mut Scratch::new()));
         }
     }
 
@@ -174,8 +174,7 @@ fn service_repair_bit_identical_to_direct_stream() {
                     // Interleaved scheduling must neither disturb the
                     // repairer nor be disturbed by it.
                     let via = service.schedule("inc", 6, cfg).unwrap();
-                    let reg = SchedulerRegistry::standard();
-                    let direct_inc = reg.kind(reg.resolve("inc").unwrap()).run_configured(
+                    let direct_inc = SchedulerKind::resolve("inc").unwrap().run_configured(
                         &direct_inst,
                         6,
                         cfg,

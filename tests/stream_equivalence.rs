@@ -12,7 +12,7 @@
 //! churn and sparse generated interest.
 
 use social_event_scheduling::algorithms::stream::StreamScheduler;
-use social_event_scheduling::algorithms::SchedulerKind;
+use social_event_scheduling::algorithms::{Scheduler, SchedulerKind};
 use social_event_scheduling::core::delta;
 use social_event_scheduling::core::model::StorageKind;
 use social_event_scheduling::core::parallel::Threads;
