@@ -85,7 +85,10 @@ fn bench(c: &mut Criterion) {
     group.sample_size(51);
     for (name, inst) in [("sparse", &sparse), ("compressed", &compressed)] {
         let mut live = inst.clone();
-        let (user, first) = live.event_interest.column(0).next().expect("event 0 has interest");
+        assert!(live.event_interest.column_len(0) > 0, "event 0 has interest");
+        let mut stored = (0, 0.0);
+        live.event_interest.for_each_in_part(0, 0..1, |u, v| stored = (u, v));
+        let (user, first) = stored;
         let second = if first == 0.5 { 0.25 } else { 0.5 };
         let mut flip = false;
         group.bench_with_input(BenchmarkId::new("shift_interest", name), &user, |b, &user| {

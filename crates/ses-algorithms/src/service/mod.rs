@@ -86,7 +86,9 @@ pub enum Request {
         /// Opt-in bound-first gate (selection-neutral; counters only).
         #[serde(default)]
         gate: bool,
-        /// Opt-in per-phase engine profiling.
+        /// Accepted and ignored: the reply carries no profile, so the
+        /// service always runs with profiling off. Kept because v1 lines
+        /// and logged records carry it.
         #[serde(default)]
         profile: bool,
         /// Optional scenario-constraint block, installed on the live
@@ -1167,10 +1169,9 @@ impl SesService {
 
     fn dispatch(&mut self, req: &Request) -> Result<Response, ServiceError> {
         match req {
-            Request::Schedule { algorithm, k, threads, gate, profile, constraints } => {
-                let cfg = RunConfig::threaded(self.resolve_threads(*threads)?)
-                    .with_bound_gate(*gate)
-                    .with_profile(*profile);
+            Request::Schedule { algorithm, k, threads, gate, profile: _, constraints } => {
+                let cfg =
+                    RunConfig::threaded(self.resolve_threads(*threads)?).with_bound_gate(*gate);
                 if let Some(cs) = constraints {
                     self.set_constraints(cs.clone())?;
                 }
@@ -1606,6 +1607,32 @@ mod tests {
             other => panic!("wrong response {other:?}"),
         }
         assert!(svc.instance().constraints.is_empty());
+    }
+
+    /// `Schedule`'s `profile` flag is accepted and ignored: on and off
+    /// answer the same bytes, for every scheduler and both session paths
+    /// (cold, then warm after a `Repair`).
+    #[test]
+    fn schedule_profile_flag_answers_the_same_bytes() {
+        let answers = |profile: bool| -> Vec<String> {
+            let mut svc = service();
+            let mut out = Vec::new();
+            for warm in [false, true] {
+                if warm {
+                    svc.repair(2, seq_cfg()).unwrap();
+                }
+                for kind in SchedulerKind::ALL {
+                    let line = format!(
+                        r#"{{"v":1,"req":{{"Schedule":{{"algorithm":"{}","k":3,"profile":{profile}}}}}}}"#,
+                        kind.name()
+                    );
+                    let req = wire::decode_request(&line).unwrap();
+                    out.push(wire::encode_response(&svc.handle(&req)));
+                }
+            }
+            out
+        };
+        assert_eq!(answers(true), answers(false));
     }
 
     proptest::proptest! {

@@ -80,10 +80,12 @@ fn encode(key: &str, payload: Value) -> String {
     serde_json::to_string(&envelope).expect("wire payloads contain only finite floats")
 }
 
-/// Unwraps the `{"v":VERSION, <key>: payload}` envelope, moving the
-/// payload out of the parsed tree (no clone — `ApplyOps` batches can
-/// carry full per-user interest vectors).
-fn decode(line: &str, key: &str) -> Result<Value, ServiceError> {
+/// Unwraps the `{"v":VERSION, <key>: payload}` envelope — depth guard,
+/// parse, object and version checks — and moves the payload out of the
+/// parsed tree (no clone — `ApplyOps` batches can carry full per-user
+/// interest vectors). Returns the payload and the envelope's other keys,
+/// which callers read or ignore (unknown keys are padding by rule).
+fn decode(line: &str, key: &str) -> Result<(Value, Vec<(String, Value)>), ServiceError> {
     depth_guard(line)?;
     let value: Value =
         serde_json::from_str(line).map_err(|e| ServiceError::protocol(e.to_string()))?;
@@ -101,7 +103,8 @@ fn decode(line: &str, key: &str) -> Result<Value, ServiceError> {
         .iter()
         .position(|(k, _)| k == key)
         .ok_or_else(|| ServiceError::protocol(format!("missing payload field \"{key}\"")))?;
-    Ok(obj.swap_remove(idx).1)
+    let payload = obj.swap_remove(idx).1;
+    Ok((payload, obj))
 }
 
 /// Encodes one request line.
@@ -128,7 +131,7 @@ pub fn encode_request_for(session: &str, req: &Request) -> String {
 /// [`ServiceError::Protocol`] for malformed lines,
 /// [`ServiceError::UnsupportedVersion`] for a version mismatch.
 pub fn decode_request(line: &str) -> Result<Request, ServiceError> {
-    let payload = decode(line, "req")?;
+    let (payload, _) = decode(line, "req")?;
     Request::from_value(&payload).map_err(|e| ServiceError::protocol(e.to_string()))
 }
 
@@ -142,31 +145,14 @@ pub fn decode_request(line: &str) -> Result<Request, ServiceError> {
 /// As [`decode_request`]; additionally [`ServiceError::Protocol`] when
 /// `"session"` is present but not a string.
 pub fn decode_request_routed(line: &str) -> Result<(Request, Option<String>), ServiceError> {
-    depth_guard(line)?;
-    let value: Value =
-        serde_json::from_str(line).map_err(|e| ServiceError::protocol(e.to_string()))?;
-    let Value::Object(mut obj) = value else {
-        return Err(ServiceError::protocol("envelope must be a JSON object"));
-    };
-    let v = get(&obj, "v").ok_or_else(|| ServiceError::protocol("missing version field \"v\""))?;
-    let got = v
-        .as_u64()
-        .ok_or_else(|| ServiceError::protocol("version field \"v\" must be an integer"))?;
-    if got != VERSION {
-        return Err(ServiceError::UnsupportedVersion { got, supported: VERSION });
-    }
-    let session = match get(&obj, "session") {
+    let (payload, rest) = decode(line, "req")?;
+    let session = match get(&rest, "session") {
         None => None,
         Some(Value::String(s)) => Some(s.clone()),
         Some(_) => {
             return Err(ServiceError::protocol("envelope field \"session\" must be a string"))
         }
     };
-    let idx = obj
-        .iter()
-        .position(|(k, _)| k == "req")
-        .ok_or_else(|| ServiceError::protocol("missing payload field \"req\""))?;
-    let payload = obj.swap_remove(idx).1;
     let req = Request::from_value(&payload).map_err(|e| ServiceError::protocol(e.to_string()))?;
     Ok((req, session))
 }
@@ -182,7 +168,7 @@ pub fn encode_response(resp: &Response) -> String {
 /// [`ServiceError::Protocol`] for malformed lines,
 /// [`ServiceError::UnsupportedVersion`] for a version mismatch.
 pub fn decode_response(line: &str) -> Result<Response, ServiceError> {
-    let payload = decode(line, "resp")?;
+    let (payload, _) = decode(line, "resp")?;
     Response::from_value(&payload).map_err(|e| ServiceError::protocol(e.to_string()))
 }
 
@@ -347,6 +333,12 @@ mod tests {
         // unknown envelope keys are forward-compatible padding.
         let line = encode_request_for("x", &Request::Snapshot);
         assert_eq!(decode_request(&line).unwrap(), Request::Snapshot);
+        // Of any type: only the routed decoder reads the key.
+        for session in ["7", "null", "[1]", r#"{"a":1}"#] {
+            let line = format!(r#"{{"v":1,"session":{session},"req":"Snapshot"}}"#);
+            assert_eq!(decode_request(&line).unwrap(), Request::Snapshot, "{line}");
+            assert!(decode_request_routed(&line).is_err(), "{line}");
+        }
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! **Bit-identity.** A column decodes to exactly the `(user, µ)` sequence
 //! the sparse layout stores — same values (codes are exact `f64` bit
 //! patterns, never re-derived), same ascending-user order, same positional
-//! indexing for `column_part`. The cached column sum is the identical
-//! flat left-to-right [`stored_sum`](super::interest::stored_sum) over the
-//! decoded sequence. So every consumer of the `InterestMatrix` API — the
+//! indexing for [`super::InterestMatrix::for_each_in_part`]. The cached
+//! column sum is the identical flat left-to-right
+//! [`stored_sum`](super::interest::stored_sum) over the decoded sequence. So every consumer of the `InterestMatrix` API — the
 //! fused scoring kernel, the delta layer, the stream repairer, the
 //! constraint gate — produces the same output bits on `Compressed` as on
 //! `Sparse`, at any thread count.
@@ -400,19 +400,6 @@ impl CompressedInterest {
         }
     }
 
-    /// Decodes the `(user, value)` entry at absolute position `pos`, given
-    /// the block that contains it.
-    #[inline]
-    fn decode_at(&self, b: &ColumnBlock, pos: usize) -> (usize, f64) {
-        let rel = pos - b.entry_start;
-        let user = if b.is_full() {
-            b.base() + rel
-        } else {
-            b.base() + self.offsets[b.offset_start + rel] as usize
-        };
-        (user, self.dict[self.codes.get(pos) as usize])
-    }
-
     /// The block directory index (into `self.blocks`) of the block holding
     /// absolute entry `pos` of `item`. `pos` must lie inside the item.
     fn block_of(&self, item: usize, pos: usize) -> usize {
@@ -421,16 +408,15 @@ impl CompressedInterest {
         lo + self.blocks[lo..hi].partition_point(|b| b.entry_end() <= pos)
     }
 
-    /// Streams `(user, µ)` over positions `range` of `item`'s column — the
-    /// compressed analogue of slicing the sparse parallel arrays, with one
-    /// layout dispatch **per block** rather than per entry. This is the
-    /// scoring kernel's entry point; the iteration order is identical to
-    /// the sparse layout's, so the fixed-block reduction sees the same
-    /// sequence of addends.
+    /// Streams `(user, µ)` over positions `range` of `item`'s column, one
+    /// code-width dispatch **per block** rather than per entry — the
+    /// compressed arm of [`super::InterestMatrix::for_each_in_part`]. The
+    /// iteration order is the sparse layout's, so the fixed-block
+    /// reduction sees the same sequence of addends.
     ///
     /// # Panics
     /// Panics if `range` exceeds `column_len(item)`.
-    pub fn for_each_in_part(
+    pub(crate) fn for_each_in_part(
         &self,
         item: usize,
         range: std::ops::Range<usize>,
@@ -480,40 +466,6 @@ impl CompressedInterest {
             pos = stop;
             bi += 1;
         }
-    }
-
-    /// Iterator state for [`super::ColumnIter::Compressed`]: the absolute
-    /// entry range of positions `range` of `item`'s column, plus the index
-    /// of the block containing the first position.
-    pub(crate) fn part_cursor(
-        &self,
-        item: usize,
-        range: std::ops::Range<usize>,
-    ) -> (usize, usize, usize) {
-        assert!(range.end <= self.column_len(item), "range exceeds column length");
-        let pos = self.entry_ptr[item] + range.start;
-        let end = self.entry_ptr[item] + range.end;
-        let block_idx = if pos < end { self.block_of(item, pos) } else { self.block_ptr[item] };
-        (pos, end, block_idx)
-    }
-
-    /// Advances the [`super::ColumnIter::Compressed`] cursor by one entry.
-    #[inline]
-    pub(crate) fn cursor_next(
-        &self,
-        pos: &mut usize,
-        end: usize,
-        block_idx: &mut usize,
-    ) -> Option<(usize, f64)> {
-        if *pos >= end {
-            return None;
-        }
-        while self.blocks[*block_idx].entry_end() <= *pos {
-            *block_idx += 1;
-        }
-        let out = self.decode_at(&self.blocks[*block_idx], *pos);
-        *pos += 1;
-        Some(out)
     }
 
     /// Encodes one item's sorted non-zero column at the arrays' tails and
@@ -601,17 +553,16 @@ impl CompressedInterest {
         self.encode_column(entries, &mut interner);
     }
 
+    /// Decodes one column into its sorted `(user, value)` entry list.
+    fn decode_column(&self, item: usize) -> Vec<(u32, f64)> {
+        let mut col = Vec::with_capacity(self.column_len(item));
+        self.for_each_in_part(item, 0..self.column_len(item), |u, v| col.push((u as u32, v)));
+        col
+    }
+
     /// Decodes every column into sorted `(user, value)` entry lists.
     fn decode_columns(&self) -> Vec<Vec<(u32, f64)>> {
-        (0..self.num_items())
-            .map(|item| {
-                let mut col = Vec::with_capacity(self.column_len(item));
-                self.for_each_in_part(item, 0..self.column_len(item), |u, v| {
-                    col.push((u as u32, v));
-                });
-                col
-            })
-            .collect()
+        (0..self.num_items()).map(|item| self.decode_column(item)).collect()
     }
 
     /// Rebuilds in place from decoded columns, re-interning the dictionary
@@ -960,25 +911,18 @@ impl CompressedInterest {
         }
         Ok(())
     }
-
-    /// `item`'s decoded `(user, µ)` entries, in order.
-    fn entries(&self, item: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (mut pos, end, mut block_idx) = self.part_cursor(item, 0..self.column_len(item));
-        std::iter::from_fn(move || self.cursor_next(&mut pos, end, &mut block_idx))
-    }
 }
 
 impl PartialEq for CompressedInterest {
     fn eq(&self, other: &Self) -> bool {
+        let bits = |m: &Self, item| -> Vec<(u32, u64)> {
+            m.decode_column(item).into_iter().map(|(u, v)| (u, v.to_bits())).collect()
+        };
         self.num_users == other.num_users
             && self.num_items() == other.num_items()
             && (0..self.num_items()).all(|item| {
-                self.column_len(item) == other.column_len(item)
-                    && self.col_sums[item].to_bits() == other.col_sums[item].to_bits()
-                    && self
-                        .entries(item)
-                        .zip(other.entries(item))
-                        .all(|((u, v), (w, x))| u == w && v.to_bits() == x.to_bits())
+                self.col_sums[item].to_bits() == other.col_sums[item].to_bits()
+                    && bits(self, item) == bits(other, item)
             })
     }
 }

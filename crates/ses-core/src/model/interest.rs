@@ -1,7 +1,7 @@
 //! Storage for the interest function `µ : U × (E ∪ C) → [0, 1]`.
 //!
 //! Interest drives every score computation (Eq. 1/4), so its layout decides
-//! the performance of the whole system. Two interchangeable representations
+//! the performance of the whole system. Three interchangeable representations
 //! are provided:
 //!
 //! * [`DenseInterest`] — an *item-major* dense matrix (`data[item · |U| + u]`).
@@ -17,8 +17,11 @@
 //!   compressed blocks, ~2 bytes per stored entry on quantized dense
 //!   columns. The million-user layout; see [`super::compressed`].
 //!
-//! All three decode to the same `(user, µ)` sequence in the same order, so
-//! every downstream float reduction is bit-identical across backends.
+//! All three decode to the same `(user, µ)` sequence in the same order (the
+//! dense walk also visits the zeros, which add exactly nothing), so every
+//! downstream float reduction is bit-identical across backends. Every
+//! consumer reads a column through one walk,
+//! [`InterestMatrix::for_each_in_part`].
 //!
 //! Both candidate-event interest and competing-event interest use this type;
 //! an "item" is a column (an event) and the matrix is `items × users`.
@@ -74,62 +77,51 @@ impl InterestMatrix {
         }
     }
 
-    /// Iterates the column of `item` as `(user, µ)` pairs in increasing user
-    /// order. Dense storage yields **all** users (zeros included, matching the
-    /// paper's `|U|`-per-score accounting); sparse yields non-zeros only.
-    #[inline]
-    pub fn column(&self, item: usize) -> ColumnIter<'_> {
-        match self {
-            Self::Dense(d) => {
-                ColumnIter::Dense { values: d.column_slice(item), first_user: 0, next: 0 }
-            }
-            Self::Sparse(s) => {
-                let (users, values) = s.column_slices(item);
-                ColumnIter::Sparse { users, values, next: 0 }
-            }
-            Self::Compressed(c) => {
-                let (pos, end, block_idx) = c.part_cursor(item, 0..c.column_len(item));
-                ColumnIter::Compressed { matrix: c, pos, end, block_idx }
-            }
-        }
-    }
-
-    /// Iterates one *positional* slice of `item`'s column: entries at
-    /// positions `range` of the [`column`](Self::column) iteration (for
-    /// dense storage positions are user indices; for sparse they index the
-    /// non-zero list). Concatenating `column_part(item, r)` over the blocks
-    /// of [`crate::parallel::block_range`] reproduces `column(item)` exactly
-    /// — this is the unit the engine's fixed-block reduction works in.
+    /// Walks positions `range` of `item`'s column, calling `f(user, µ)` in
+    /// increasing user order — the one column traversal every consumer
+    /// (the scoring kernel, `apply`, the engine build, validation and the
+    /// layout conversions) goes through. Dense storage yields **every**
+    /// user, zeros included, and its positions are user indices (the
+    /// paper's `|U|`-per-score accounting); sparse and compressed yield
+    /// their stored non-zeros, and positions index that list. Walking the
+    /// blocks of [`crate::parallel::block_range`] in ascending order
+    /// reproduces [`for_each`](Self::for_each) exactly — the unit the
+    /// engine's fixed-block reduction works in. The layout is matched once
+    /// per call, never per entry.
     ///
     /// # Panics
     /// Panics if `range` exceeds `column_len(item)`.
     #[inline]
-    pub fn column_part(&self, item: usize, range: std::ops::Range<usize>) -> ColumnIter<'_> {
+    pub fn for_each_in_part(
+        &self,
+        item: usize,
+        range: std::ops::Range<usize>,
+        mut f: impl FnMut(usize, f64),
+    ) {
         match self {
             Self::Dense(d) => {
-                let col = d.column_slice(item);
-                ColumnIter::Dense {
-                    values: &col[range.start..range.end],
-                    first_user: range.start,
-                    next: 0,
+                let first = range.start;
+                for (i, &v) in d.column_slice(item)[range].iter().enumerate() {
+                    f(first + i, v);
                 }
             }
             Self::Sparse(s) => {
                 let (users, values) = s.column_slices(item);
-                ColumnIter::Sparse {
-                    users: &users[range.start..range.end],
-                    values: &values[range.start..range.end],
-                    next: 0,
+                for (&u, &v) in users[range.clone()].iter().zip(&values[range]) {
+                    f(u as usize, v);
                 }
             }
-            Self::Compressed(c) => {
-                let (pos, end, block_idx) = c.part_cursor(item, range);
-                ColumnIter::Compressed { matrix: c, pos, end, block_idx }
-            }
+            Self::Compressed(c) => c.for_each_in_part(item, range, f),
         }
     }
 
-    /// Number of entries a [`column`](Self::column) iteration will touch for
+    /// [`for_each_in_part`](Self::for_each_in_part) over the whole column.
+    #[inline]
+    pub fn for_each(&self, item: usize, f: impl FnMut(usize, f64)) {
+        self.for_each_in_part(item, 0..self.column_len(item), f);
+    }
+
+    /// Number of entries a [`for_each`](Self::for_each) walk visits for
     /// `item` — the per-score "user operations" cost of this representation.
     #[inline]
     pub fn column_len(&self, item: usize) -> usize {
@@ -146,10 +138,10 @@ impl InterestMatrix {
         }
     }
 
-    /// Total mass `Σ_u µ(u, item)` of one column — O(1): both layouts cache
-    /// per-column sums, maintained as the bitwise left-to-right sum of the
-    /// stored column on every mutation. The scoring engine's bound-first
-    /// gate leans on this being cheap.
+    /// Total mass `Σ_u µ(u, item)` of one column — O(1): every layout
+    /// caches per-column sums, maintained as the bitwise left-to-right sum
+    /// of the stored column on every mutation. The scoring engine's
+    /// bound-first gate leans on this being cheap.
     #[inline]
     pub fn column_sum(&self, item: usize) -> f64 {
         match self {
@@ -159,16 +151,21 @@ impl InterestMatrix {
         }
     }
 
-    /// Validates that every stored value lies in `[0, 1]`.
+    /// Validates that every stored value lies in `[0, 1]`, reporting the
+    /// first offender in column order.
     pub fn validate(&self) -> Result<(), BuildError> {
         for item in 0..self.num_items() {
-            for (user, v) in self.column(item) {
-                if !(0.0..=1.0).contains(&v) || v.is_nan() {
-                    return Err(BuildError::InterestOutOfRange {
-                        value: v,
-                        context: format!("user {user}, item {item}"),
-                    });
+            let mut bad = None;
+            self.for_each(item, |user, v| {
+                if bad.is_none() && !(0.0..=1.0).contains(&v) {
+                    bad = Some((user, v));
                 }
+            });
+            if let Some((user, value)) = bad {
+                return Err(BuildError::InterestOutOfRange {
+                    value,
+                    context: format!("user {user}, item {item}"),
+                });
             }
         }
         Ok(())
@@ -245,28 +242,14 @@ impl InterestMatrix {
     pub fn to_dense(&self) -> DenseInterest {
         match self {
             Self::Dense(d) => d.clone(),
-            Self::Sparse(s) => {
+            _ => {
                 // Fill the raw buffer, then compute each column sum once at
                 // construction — `set` would recompute the O(|U|) sum per
-                // stored non-zero.
-                let (num_items, num_users) = (s.indptr.len() - 1, s.num_users);
+                // stored entry.
+                let (num_items, num_users) = (self.num_items(), self.num_users());
                 let mut data = vec![0.0; num_items * num_users];
                 for item in 0..num_items {
-                    let (users, values) = s.column_slices(item);
-                    for (&u, &v) in users.iter().zip(values) {
-                        data[item * num_users + u as usize] = v;
-                    }
-                }
-                DenseInterest::from_raw(num_items, num_users, data)
-                    .expect("shape is consistent by construction")
-            }
-            Self::Compressed(c) => {
-                let (num_items, num_users) = (c.num_items(), c.num_users());
-                let mut data = vec![0.0; num_items * num_users];
-                for item in 0..num_items {
-                    c.for_each_in_part(item, 0..c.column_len(item), |u, v| {
-                        data[item * num_users + u] = v;
-                    });
+                    self.for_each(item, |u, v| data[item * num_users + u] = v);
                 }
                 DenseInterest::from_raw(num_items, num_users, data)
                     .expect("shape is consistent by construction")
@@ -279,23 +262,10 @@ impl InterestMatrix {
     pub fn to_sparse(&self) -> SparseInterest {
         match self {
             Self::Sparse(s) => s.clone(),
-            Self::Dense(d) => {
-                let mut b = SparseInterestBuilder::new(d.num_items, d.num_users);
-                for item in 0..d.num_items {
-                    for (u, &v) in d.column_slice(item).iter().enumerate() {
-                        if v != 0.0 {
-                            b.push(item, u, v);
-                        }
-                    }
-                }
-                b.build()
-            }
-            Self::Compressed(c) => {
-                let mut b = SparseInterestBuilder::new(c.num_items(), c.num_users());
-                for item in 0..c.num_items() {
-                    c.for_each_in_part(item, 0..c.column_len(item), |u, v| {
-                        b.push(item, u, v);
-                    });
+            _ => {
+                let mut b = SparseInterestBuilder::new(self.num_items(), self.num_users());
+                for item in 0..self.num_items() {
+                    self.for_each(item, |u, v| b.push(item, u, v)); // the builder drops zeros
                 }
                 b.build()
             }
@@ -312,9 +282,7 @@ impl InterestMatrix {
             _ => {
                 let mut b = CompressedInterestBuilder::new(self.num_items(), self.num_users());
                 for item in 0..self.num_items() {
-                    for (u, v) in self.column(item) {
-                        b.push(item, u, v); // the builder drops zeros
-                    }
+                    self.for_each(item, |u, v| b.push(item, u, v)); // the builder drops zeros
                 }
                 b.build()
             }
@@ -396,77 +364,6 @@ impl From<CompressedInterest> for InterestMatrix {
         Self::Compressed(c)
     }
 }
-
-/// Iterator over one item's `(user, µ)` column. See
-/// [`InterestMatrix::column`].
-#[derive(Debug)]
-pub enum ColumnIter<'a> {
-    /// Dense column: yields every user index with its (possibly zero) value.
-    Dense {
-        /// The (sub)column's contiguous value slice.
-        values: &'a [f64],
-        /// User index of `values[0]` (non-zero for `column_part` slices).
-        first_user: usize,
-        /// Next position within `values` to yield.
-        next: usize,
-    },
-    /// Sparse column: yields stored non-zeros only.
-    Sparse {
-        /// Sorted user indices of the non-zeros.
-        users: &'a [u32],
-        /// Values parallel to `users`.
-        values: &'a [f64],
-        /// Next position to yield.
-        next: usize,
-    },
-    /// Compressed column: yields stored non-zeros only, decoded block-wise.
-    Compressed {
-        /// The backing matrix (codes, dictionary, block directory).
-        matrix: &'a CompressedInterest,
-        /// Next absolute entry position to yield.
-        pos: usize,
-        /// One-past-the-last absolute entry position.
-        end: usize,
-        /// Directory index of the block containing `pos`.
-        block_idx: usize,
-    },
-}
-
-impl Iterator for ColumnIter<'_> {
-    type Item = (usize, f64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(usize, f64)> {
-        match self {
-            ColumnIter::Dense { values, first_user, next } => {
-                let i = *next;
-                let v = *values.get(i)?;
-                *next += 1;
-                Some((*first_user + i, v))
-            }
-            ColumnIter::Sparse { users, values, next } => {
-                let i = *next;
-                let u = *users.get(i)?;
-                *next += 1;
-                Some((u as usize, values[i]))
-            }
-            ColumnIter::Compressed { matrix, pos, end, block_idx } => {
-                matrix.cursor_next(pos, *end, block_idx)
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = match self {
-            ColumnIter::Dense { values, next, .. } => values.len() - next,
-            ColumnIter::Sparse { users, next, .. } => users.len() - next,
-            ColumnIter::Compressed { pos, end, .. } => end - pos,
-        };
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for ColumnIter<'_> {}
 
 /// Dense item-major interest storage. `data[item · num_users + user]`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -1030,12 +927,27 @@ mod tests {
         DenseInterest::from_raw(2, 3, vec![0.9, 0.0, 0.2, 0.3, 0.6, 0.0]).unwrap()
     }
 
+    /// The `(user, µ)` sequence a walk over positions `range` visits.
+    fn walk_part(
+        m: &InterestMatrix,
+        item: usize,
+        range: std::ops::Range<usize>,
+    ) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        m.for_each_in_part(item, range, |u, v| out.push((u, v)));
+        out
+    }
+
+    fn walk(m: &InterestMatrix, item: usize) -> Vec<(usize, f64)> {
+        walk_part(m, item, 0..m.column_len(item))
+    }
+
     #[test]
     fn dense_value_and_column() {
         let d = sample_dense();
         assert_eq!(d.value(0, 0), 0.9);
         assert_eq!(d.value(1, 1), 0.6);
-        let col: Vec<_> = InterestMatrix::from(d).column(0).collect();
+        let col = walk(&InterestMatrix::from(d), 0);
         assert_eq!(col, vec![(0, 0.9), (1, 0.0), (2, 0.2)]);
     }
 
@@ -1051,7 +963,7 @@ mod tests {
         let m = InterestMatrix::from(sample_dense()).to_sparse();
         assert_eq!(m.nnz(), 4);
         let m = InterestMatrix::from(m);
-        let col: Vec<_> = m.column(0).collect();
+        let col = walk(&m, 0);
         assert_eq!(col, vec![(0, 0.9), (2, 0.2)]);
         assert_eq!(m.column_len(0), 2);
         assert_eq!(m.value(0, 1), 0.0);
@@ -1085,9 +997,7 @@ mod tests {
             for item in 0..m.num_items() {
                 let recomputed: f64 = {
                     let mut s = 0.0;
-                    for (_, v) in m.column(item) {
-                        s += v;
-                    }
+                    m.for_each(item, |_, v| s += v);
                     s
                 };
                 assert_eq!(
@@ -1162,27 +1072,53 @@ mod tests {
     }
 
     #[test]
-    fn exact_size_iterator() {
-        let m = InterestMatrix::from(sample_dense());
-        let mut it = m.column(0);
-        assert_eq!(it.len(), 3);
-        it.next();
-        assert_eq!(it.len(), 2);
-    }
-
-    #[test]
-    fn column_part_tiles_the_column() {
+    fn walk_visits_column_len_entries() {
         let dense = InterestMatrix::from(sample_dense());
         let sparse = InterestMatrix::from(dense.to_sparse());
         let compressed = InterestMatrix::from(dense.to_compressed());
         for m in [&dense, &sparse, &compressed] {
             for item in 0..2 {
                 let len = m.column_len(item);
-                let whole: Vec<_> = m.column(item).collect();
-                for split in 0..=len {
-                    let mut tiled: Vec<_> = m.column_part(item, 0..split).collect();
-                    tiled.extend(m.column_part(item, split..len));
-                    assert_eq!(tiled, whole, "item {item} split {split}");
+                assert_eq!(walk(m, item).len(), len);
+                assert_eq!(walk_part(m, item, 1..len).len(), len - 1);
+            }
+        }
+        assert_eq!(dense.column_len(0), 3);
+        assert_eq!(sparse.column_len(0), 2);
+    }
+
+    /// The walk over any split of a column, and over the engine's
+    /// `block_range` tiling, concatenates to the whole walk — on every
+    /// layout, with columns spanning several 512-entry blocks (full,
+    /// partial and empty ones).
+    #[test]
+    fn for_each_in_part_tiles_the_column() {
+        use crate::parallel::{block_count, block_range, PAR_BLOCK};
+        let small = InterestMatrix::from(sample_dense());
+        let nu = 2 * PAR_BLOCK + 37;
+        let wide = InterestMatrix::from(DenseInterest::from_fn(3, nu, |item, u| match item {
+            0 => ((u % 7) + 1) as f64 / 8.0,
+            1 if u / PAR_BLOCK == 1 => 0.0,
+            _ if (u * 31 + item) % 5 == 0 => ((u % 3) + 1) as f64 / 4.0,
+            _ => 0.0,
+        }));
+        for source in [&small, &wide] {
+            for kind in StorageKind::ALL {
+                let m = source.convert_to(kind);
+                for item in 0..m.num_items() {
+                    let len = m.column_len(item);
+                    let whole = walk(&m, item);
+                    assert_eq!(whole.len(), len, "{kind} item {item}");
+                    for split in (0..=len).step_by(1 + len / 16).chain([len]) {
+                        let mut tiled = walk_part(&m, item, 0..split);
+                        tiled.extend(walk_part(&m, item, split..len));
+                        assert_eq!(tiled, whole, "{kind} item {item} split {split}");
+                    }
+                    let mut blocks = Vec::new();
+                    for b in 0..block_count(len) {
+                        blocks.extend(walk_part(&m, item, block_range(b, len)));
+                    }
+                    assert_eq!(blocks, whole, "{kind} item {item}: block tiling");
                 }
             }
         }
@@ -1351,7 +1287,7 @@ mod tests {
         let s = b.build();
         assert_eq!(s.num_items(), 3);
         let m = InterestMatrix::from(s);
-        assert_eq!(m.column(1).count(), 0);
+        assert!(walk(&m, 1).is_empty());
         assert_eq!(m.column_sum(1), 0.0);
     }
 }

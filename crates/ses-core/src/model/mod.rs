@@ -16,7 +16,5 @@ pub use compressed::{
 pub use event::{CompetingEvent, Event};
 pub use instance::{running_example, Instance, InstanceBuilder};
 pub(crate) use interest::user_keep_mask;
-pub use interest::{
-    ColumnIter, DenseInterest, InterestMatrix, SparseInterest, SparseInterestBuilder,
-};
+pub use interest::{DenseInterest, InterestMatrix, SparseInterest, SparseInterestBuilder};
 pub use interval::Interval;

@@ -47,7 +47,7 @@
 //! differential suites and golden traces enforce this.
 
 use crate::ids::{EventId, IntervalId};
-use crate::model::{Instance, InterestMatrix};
+use crate::model::Instance;
 use crate::parallel::{block_count, block_range, par_chunks_mut, Threads};
 use crate::stats::Stats;
 use serde::{Deserialize, Serialize};
@@ -160,9 +160,7 @@ impl<'a> ScoringEngine<'a> {
             }
             par_chunks_mut(threads, &mut comp_mass, users, |t, row| {
                 for &ci in &by_interval[t] {
-                    for (u, mu) in inst.competing_interest.column(ci) {
-                        row[u] += mu;
-                    }
+                    inst.competing_interest.for_each(ci, |u, mu| row[u] += mu);
                 }
             });
         }
@@ -372,9 +370,10 @@ impl<'a> ScoringEngine<'a> {
     /// summation order (DESIGN.md §2) — every code path combines them in
     /// ascending block index, so thread count never changes a bit.
     ///
-    /// This is the fused kernel: the layout enum is matched **once** per
-    /// block (not per entry), and each user costs one division and one
-    /// multiply over four contiguous `f64` streams plus the interest column.
+    /// This is the fused kernel: the column walk matches the layout
+    /// **once** per block (not per entry), and each user costs one division
+    /// and one multiply over four contiguous `f64` streams plus the interest
+    /// column.
     fn block_gain(&self, e: EventId, ti: usize, block: usize, len: usize) -> f64 {
         let users = self.inst.num_users();
         let base = ti * users;
@@ -382,35 +381,10 @@ impl<'a> ScoringEngine<'a> {
         let tot = &self.tot_mass[base..base + users];
         let share = &self.share[base..base + users];
         let wact = &self.weight_act[base..base + users];
-        let range = block_range(block, len);
         let mut total = 0.0;
-        match &self.inst.event_interest {
-            InterestMatrix::Dense(d) => {
-                let first = range.start;
-                let col = &d.column_slice(e.index())[range];
-                for (i, &mu) in col.iter().enumerate() {
-                    let u = first + i;
-                    total += wact[u] * cached_gain(num[u], tot[u], share[u], mu);
-                }
-            }
-            InterestMatrix::Sparse(s) => {
-                let (us, vs) = s.column_slices(e.index());
-                let (us, vs) = (&us[range.clone()], &vs[range]);
-                for (&u, &mu) in us.iter().zip(vs) {
-                    let u = u as usize;
-                    total += wact[u] * cached_gain(num[u], tot[u], share[u], mu);
-                }
-            }
-            InterestMatrix::Compressed(c) => {
-                // Decodes the same (user, µ) sequence at the same positions
-                // as the sparse arm — the addend order, and therefore every
-                // output bit, is unchanged. Layout dispatch happens per
-                // compressed block inside, not per entry.
-                c.for_each_in_part(e.index(), range, |u, mu| {
-                    total += wact[u] * cached_gain(num[u], tot[u], share[u], mu);
-                });
-            }
-        }
+        self.inst.event_interest.for_each_in_part(e.index(), block_range(block, len), |u, mu| {
+            total += wact[u] * cached_gain(num[u], tot[u], share[u], mu);
+        });
         total
     }
 
@@ -583,7 +557,7 @@ impl<'a> ScoringEngine<'a> {
             let base = ti * users;
             if sign >= 0.0 {
                 self.sched_events[ti] += 1;
-                for (u, mu) in inst.event_interest.column(e.index()) {
+                inst.event_interest.for_each(e.index(), |u, mu| {
                     let idx = base + u;
                     let was_zero = self.sched_mass[idx] == 0.0;
                     self.sched_mass[idx] += mu;
@@ -591,7 +565,7 @@ impl<'a> ScoringEngine<'a> {
                         self.dirty_cells[ti] += 1;
                     }
                     self.refresh_cell(idx);
-                }
+                });
             } else {
                 // Subtractive update (backtracking): snap float residue to
                 // exact zero. The Luce share m/(c+m) is *discontinuous* at
@@ -599,7 +573,7 @@ impl<'a> ScoringEngine<'a> {
                 // a user's share from 0 to 1 and silently corrupt every
                 // subsequent score (found by a property test via the exact
                 // solver losing to greedy).
-                for (u, mu) in inst.event_interest.column(e.index()) {
+                inst.event_interest.for_each(e.index(), |u, mu| {
                     let idx = base + u;
                     let was_zero = self.sched_mass[idx] == 0.0;
                     let cell = &mut self.sched_mass[idx];
@@ -614,7 +588,7 @@ impl<'a> ScoringEngine<'a> {
                         _ => {}
                     }
                     self.refresh_cell(idx);
-                }
+                });
                 self.sched_events[ti] = self.sched_events[ti].saturating_sub(1);
                 if self.sched_events[ti] == 0 && self.dirty_cells[ti] > 0 {
                     // The interval's scheduled event set is empty again but

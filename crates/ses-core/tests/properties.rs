@@ -148,9 +148,7 @@ fn block_counts(inst: &Instance) -> Vec<Vec<usize>> {
     (0..inst.num_events())
         .map(|e| {
             let mut counts = vec![0; blocks];
-            for (u, _) in inst.event_interest.column(e) {
-                counts[u / PAR_BLOCK] += 1;
-            }
+            inst.event_interest.for_each(e, |u, _| counts[u / PAR_BLOCK] += 1);
             counts
         })
         .collect()
@@ -791,7 +789,9 @@ proptest! {
                 }
                 for e in 0..sparse.num_events() {
                     let bits = |m: &InterestMatrix| -> Vec<(usize, u64)> {
-                        m.column(e).map(|(u, v)| (u, v.to_bits())).collect()
+                        let mut col = Vec::new();
+                        m.for_each(e, |u, v| col.push((u, v.to_bits())));
+                        col
                     };
                     prop_assert_eq!(
                         bits(&compressed.event_interest), bits(&sparse.event_interest),
@@ -812,6 +812,77 @@ proptest! {
                         "round {}, op {}: score {:?}@{:?} diverged", round, applied, e, t
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The engine's mass tables agree bit for bit across layouts. Engines
+    /// on dense, sparse and compressed storage, at 1 and 4 threads, run
+    /// one random `apply`/`unapply` sequence over multi-block columns
+    /// (full, partial, sparse and empty 512-user blocks) with competing
+    /// columns. After every step `competing_mass`, `scheduled_mass` and
+    /// `cached_share` are bit-equal across all six engines for every
+    /// `(u, t)` — the competing-mass build and the `apply`/`unapply`
+    /// walks, which score-only comparisons cover only indirectly.
+    #[test]
+    fn mass_tables_match_across_layouts(
+        inst in blocky_instance(),
+        steps in (1usize..12).prop_flat_map(|n| {
+            proptest::collection::vec((0usize..64, 0usize..64, 0u8..2), n)
+        }),
+    ) {
+        let layouts: Vec<Instance> =
+            StorageKind::ALL.iter().map(|&kind| with_storage(&inst, kind)).collect();
+        let mut engines: Vec<(String, ScoringEngine<'_>)> = Vec::new();
+        for (kind, live) in StorageKind::ALL.iter().zip(&layouts) {
+            for threads in [Threads::sequential(), Threads::new(4)] {
+                engines.push((
+                    format!("{kind} at {threads:?}"),
+                    ScoringEngine::with_threads(live, threads),
+                ));
+            }
+        }
+        let tables = |eng: &ScoringEngine<'_>| -> Vec<[u64; 3]> {
+            (0..inst.num_intervals())
+                .flat_map(|t| (0..inst.num_users()).map(move |u| (u, IntervalId::new(t))))
+                .map(|(u, t)| {
+                    [
+                        eng.competing_mass(u, t).to_bits(),
+                        eng.scheduled_mass(u, t).to_bits(),
+                        eng.cached_share(u, t).to_bits(),
+                    ]
+                })
+                .collect()
+        };
+        let mut applied: Vec<(EventId, IntervalId)> = Vec::new();
+        for (step, &(a, b, undo)) in steps.iter().enumerate() {
+            let op = if undo == 1 && !applied.is_empty() {
+                Err(applied.remove(a % applied.len()))
+            } else {
+                let pair = (
+                    EventId::new(a % inst.num_events()),
+                    IntervalId::new(b % inst.num_intervals()),
+                );
+                applied.push(pair);
+                Ok(pair)
+            };
+            for (_, eng) in &mut engines {
+                match op {
+                    Ok((e, t)) => eng.apply(e, t),
+                    Err((e, t)) => eng.unapply(e, t),
+                }
+            }
+            let reference = tables(&engines[0].1);
+            for (name, eng) in &engines[1..] {
+                prop_assert!(
+                    tables(eng) == reference,
+                    "step {} ({:?}): {} mass tables differ from dense at 1 thread",
+                    step, op, name
+                );
             }
         }
     }

@@ -275,10 +275,10 @@ mod tests {
         let mut total = 0.0;
         let mut n = 0usize;
         for e in 0..inst.num_events() {
-            for (_, v) in inst.event_interest.column(e) {
+            inst.event_interest.for_each(e, |_, v| {
                 total += v;
                 n += 1;
-            }
+            });
         }
         let mean = total / n as f64;
         // Unrated-defaults-to-1.0 pushes mean interest well above 0.5

@@ -236,13 +236,13 @@ mod tests {
         let m = &quantized.event_interest;
         let mut distinct = std::collections::BTreeSet::new();
         for item in 0..m.num_items() {
-            for (u, v) in m.column(item) {
+            m.for_each(item, |u, v| {
                 assert!(v > 0.0 && v <= 1.0);
                 // Snapped up onto the grid: v = n/16 and v ≥ the raw draw.
                 assert_eq!(v, (v * 16.0).round() / 16.0, "off-grid value {v}");
                 assert!(v >= plain.event_interest.value(item, u));
                 distinct.insert(v.to_bits());
-            }
+            });
             assert_eq!(m.column_len(item), plain.event_interest.column_len(item));
         }
         assert!(distinct.len() <= 16);
