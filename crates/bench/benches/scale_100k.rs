@@ -11,6 +11,8 @@
 //! * steady-state work on the compressed layout: one Eq.-4
 //!   `assignment_score` (t1/t4, bit-identical across the dimension) and
 //!   one INC end-to-end schedule;
+//! * Ω(S) of one fixed INC `k = 12` schedule (`total_utility`) on the
+//!   compressed and sparse layouts;
 //! * one point edit through `delta::apply`: `shift_interest` alternates a
 //!   stored cell between two non-zero values (an overwrite in place; the
 //!   sparse layout is the reference), and `shift_interest_toggle` flips a
@@ -22,6 +24,7 @@ use ses_algorithms::{Scheduler, SchedulerKind};
 use ses_bench::{record_gauge, threaded_label, Threads, BENCH_THREADS};
 use ses_core::delta::{self, DeltaOp};
 use ses_core::model::{Instance, StorageKind, COMPRESSED_BLOCK};
+use ses_core::scoring::utility::total_utility;
 use ses_core::scoring::ScoringEngine;
 use ses_core::{EventId, IntervalId};
 use ses_datasets::{scale, InterestModel, SyntheticParams};
@@ -80,6 +83,16 @@ fn bench(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("inc_end_to_end", "compressed/t4"), &K, |b, &k| {
         b.iter(|| black_box(SchedulerKind::Inc.run_threaded(&compressed, k, Threads::new(4))))
     });
+
+    // Ω(S) of one fixed INC schedule: the evaluator every scheduler call,
+    // warm repair and checked load runs once, outside the scheduler clock.
+    group.sample_size(5);
+    let schedule = SchedulerKind::Inc.run_threaded(&compressed, K, Threads::new(4)).schedule;
+    for (name, inst) in [("compressed", &compressed), ("sparse", &sparse)] {
+        group.bench_with_input(BenchmarkId::new("total_utility", name), inst, |b, inst| {
+            b.iter(|| black_box(total_utility(inst, &schedule)))
+        });
+    }
 
     // Point edits are microseconds: one iteration per sample, many samples.
     group.sample_size(51);

@@ -32,7 +32,8 @@ pub struct ScheduleResult {
     pub utility: f64,
     /// Instrumentation counters (score computations, user ops, examined).
     pub stats: Stats,
-    /// Wall-clock duration of the run.
+    /// Wall-clock duration of the run. The clock stops before Ω(S) is
+    /// evaluated, so `utility`'s cost is not included.
     pub elapsed: Duration,
     /// Per-phase engine timing, when the run opted into
     /// [`RunConfig::profile`].
@@ -183,9 +184,10 @@ pub trait Scheduler {
 }
 
 /// Times `f`, evaluates the utility of the returned schedule with the
-/// independent evaluator, and packs a [`ScheduleResult`]. Schedulers that
-/// score go through [`run_with_engine`]; RAND and the local-search wrapper
-/// call this directly.
+/// independent evaluator, and packs a [`ScheduleResult`]. The clock stops
+/// when `f` returns, before Ω(S) is evaluated. Schedulers that score go
+/// through [`run_with_engine`]; RAND and the local-search wrapper call this
+/// directly.
 pub(crate) fn timed_result(
     name: &'static str,
     inst: &Instance,
@@ -203,7 +205,8 @@ pub(crate) fn timed_result(
 /// the engine at `cfg.threads` (profiling it when `cfg.profile` is set),
 /// runs the selection `body` on it, and packs the engine's [`Stats`] and
 /// profile, the independently evaluated Ω(S) and the elapsed time into a
-/// [`ScheduleResult`].
+/// [`ScheduleResult`]. The elapsed time covers the engine build and the
+/// selection and stops before Ω(S) is evaluated.
 pub(crate) fn run_with_engine<'a>(
     name: &'static str,
     inst: &'a Instance,

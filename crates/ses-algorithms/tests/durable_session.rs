@@ -331,6 +331,38 @@ fn session_state_rejects_tampering() {
     SesService::from_state(good, T1()).unwrap();
 }
 
+/// The load check compares Ω(S) bits, not values: a warm state whose
+/// stored utility is one ulp off — the lowest mantissa bit flipped, in the
+/// last schedule or in the repairer — is refused as corrupt on every
+/// layout, and the unflipped state loads.
+#[test]
+fn session_state_refuses_a_one_ulp_utility() {
+    let flip = |u: &mut f64| *u = f64::from_bits(u.to_bits() ^ 1);
+    for kind in StorageKind::ALL {
+        let mut inst = base_instance();
+        inst.event_interest = inst.event_interest.convert_to(kind);
+        inst.competing_interest = inst.competing_interest.convert_to(kind);
+        let mut svc = SesService::new(inst).with_threads(T1());
+        svc.handle(&transcript()[0]);
+        svc.handle(&Request::Repair { k: 3, threads: None, gate: false });
+        let good = svc.to_state();
+
+        let mut last = good.clone();
+        flip(&mut last.last.as_mut().expect("repair recorded a schedule").utility);
+        let mut stream = good.clone();
+        flip(&mut stream.stream.as_mut().expect("repair armed the repairer").utility);
+        for (what, state) in [("last", last), ("stream", stream)] {
+            let err = SesService::from_state(state, T1()).unwrap_err();
+            assert_eq!(err.code(), "corrupt", "{kind} {what}: {err}");
+            assert!(
+                err.to_string().contains("stored utility does not match the schedule"),
+                "{kind} {what}: {err}"
+            );
+        }
+        SesService::from_state(good, T1()).unwrap();
+    }
+}
+
 #[test]
 fn plain_session_rejects_persist_and_restore() {
     let mut svc = SesService::new(base_instance()).with_threads(T1());

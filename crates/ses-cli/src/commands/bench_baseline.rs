@@ -209,12 +209,8 @@ fn check_regressions(out: &Path, fresh: &[BenchResult], factor: f64) -> Result<(
             continue;
         };
         compared += 1;
-        let ratio = f.median_ns as f64 / p.median_ns.max(1) as f64;
-        let verdict = if ratio > factor { "REGRESSED" } else { "ok" };
-        eprintln!(
-            "{:<56} committed {:>10} ns  fresh {:>10} ns  x{ratio:.2} {verdict}",
-            f.id, p.median_ns, f.median_ns
-        );
+        let (line, ratio) = check_line(p, f, factor);
+        eprintln!("{line}");
         if ratio > factor {
             regressions.push(format!("{} regressed {ratio:.2}x (limit {factor}x)", f.id));
         }
@@ -230,18 +226,64 @@ fn check_regressions(out: &Path, fresh: &[BenchResult], factor: f64) -> Result<(
     }
 }
 
+/// One `--check` line comparing a fresh result with its committed one, and
+/// the fresh/committed ratio the gate tests. The verdict is `REGRESSED`
+/// past `factor`; otherwise a gauge whose value moved at all is `CHANGED`
+/// (gauges are deterministic), and anything else is `ok`.
+fn check_line(committed: &BenchResult, fresh: &BenchResult, factor: f64) -> (String, f64) {
+    let ratio = fresh.median_ns as f64 / committed.median_ns.max(1) as f64;
+    let verdict = if ratio > factor {
+        "REGRESSED"
+    } else if is_gauge(&fresh.id) && fresh.median_ns != committed.median_ns {
+        "CHANGED"
+    } else {
+        "ok"
+    };
+    let unit = unit(&fresh.id);
+    let line = format!(
+        "{:<56} committed {:>10} {unit}  fresh {:>10} {unit}  x{ratio:.2} {verdict}",
+        fresh.id, committed.median_ns, fresh.median_ns
+    );
+    (line, ratio)
+}
+
 /// Prints per-benchmark speedup vs. a previous run (old median / new median;
-/// > 1 is faster).
+/// > 1 is faster), flagging any gauge whose value moved as `CHANGED`.
 fn print_comparison(prev: &BaselineRun, fresh: &[BenchResult]) {
     eprintln!("# bench-baseline: speedup vs previous run '{}' ({})", prev.label, prev.commit);
     for f in fresh {
         if let Some(p) = prev.results.iter().find(|p| p.id == f.id) {
-            let speedup = p.median_ns as f64 / f.median_ns.max(1) as f64;
-            eprintln!(
-                "{:<56} {:>10} ns -> {:>10} ns  ({speedup:.2}x)",
-                f.id, p.median_ns, f.median_ns
-            );
+            eprintln!("{}", comparison_line(p, f));
         }
+    }
+}
+
+/// One [`print_comparison`] line.
+fn comparison_line(prev: &BenchResult, fresh: &BenchResult) -> String {
+    let speedup = prev.median_ns as f64 / fresh.median_ns.max(1) as f64;
+    let changed = is_gauge(&fresh.id) && fresh.median_ns != prev.median_ns;
+    let unit = unit(&fresh.id);
+    format!(
+        "{:<56} {:>10} {unit} -> {:>10} {unit}  ({speedup:.2}x){}",
+        fresh.id,
+        prev.median_ns,
+        fresh.median_ns,
+        if changed { " CHANGED" } else { "" }
+    )
+}
+
+/// Whether `id` names a gauge — a byte count the bench targets record in
+/// the timing fields (`…/heap_bytes/…`, `…/snapshot_bytes/…`), not a time.
+fn is_gauge(id: &str) -> bool {
+    id.contains("/heap_bytes/") || id.contains("/snapshot_bytes/")
+}
+
+/// The unit of `id`'s recorded value.
+fn unit(id: &str) -> &'static str {
+    if is_gauge(id) {
+        "bytes"
+    } else {
+        "ns"
     }
 }
 
@@ -280,4 +322,41 @@ fn unix_now() -> u64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn result(id: &str, median_ns: u64) -> BenchResult {
+        BenchResult { id: id.into(), median_ns, mean_ns: median_ns, min_ns: median_ns, samples: 1 }
+    }
+
+    #[test]
+    fn gauges_print_bytes_and_flag_any_change() {
+        let id = "scale_100k/heap_bytes/sparse";
+        let (same, ratio) = check_line(&result(id, 72_000_968), &result(id, 72_000_968), 2.0);
+        assert_eq!(ratio, 1.0);
+        assert!(same.contains("72000968 bytes") && same.ends_with(" ok"), "{same}");
+        assert!(!same.contains(" ns"), "{same}");
+        let (moved, _) = check_line(&result(id, 72_000_968), &result(id, 72_000_976), 2.0);
+        assert!(moved.ends_with(" CHANGED"), "{moved}");
+        let (grown, ratio) = check_line(&result(id, 100), &result(id, 300), 2.0);
+        assert!(ratio > 2.0 && grown.ends_with(" REGRESSED"), "{grown}");
+        let snapshot = "persist_restore/snapshot_bytes/100k";
+        let line = comparison_line(&result(snapshot, 10), &result(snapshot, 11));
+        assert!(line.contains("10 bytes ->") && line.ends_with(" CHANGED"), "{line}");
+        assert!(!comparison_line(&result(snapshot, 10), &result(snapshot, 10)).contains("CHANGED"));
+    }
+
+    #[test]
+    fn timings_keep_ns_and_tolerate_drift_below_the_factor() {
+        let id = "scale_100k/total_utility/compressed";
+        let (line, ratio) = check_line(&result(id, 1_000), &result(id, 1_900), 2.0);
+        assert!(ratio < 2.0 && line.contains("1900 ns") && line.ends_with(" ok"), "{line}");
+        let (line, _) = check_line(&result(id, 1_000), &result(id, 2_100), 2.0);
+        assert!(line.ends_with(" REGRESSED"), "{line}");
+        let line = comparison_line(&result(id, 2_000), &result(id, 1_000));
+        assert!(line.contains("2000 ns ->") && line.ends_with("(2.00x)"), "{line}");
+    }
 }

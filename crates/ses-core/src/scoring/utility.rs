@@ -6,7 +6,17 @@
 //! (total utility must equal the telescoped sum of selected assignment
 //! scores) and to report final utilities.
 //!
+//! Ω(S) is evaluated by one **interval-major pass**: for each interval that
+//! holds a scheduled event, one reused `|U|` buffer receives every user's
+//! Luce denominator (the competing columns, then the co-scheduled event
+//! columns, each walked with [`InterestMatrix::for_each`]), and each event
+//! at that interval then walks its own column once against the buffer. The
+//! pass adds the same terms in the same order as the per-user definition
+//! ([`attendance_probability`]) summed user by user, minus terms that are
+//! exactly `+0.0`, so its results are bit-equal to it.
+//!
 //! [`ScoringEngine`]: crate::scoring::ScoringEngine
+//! [`InterestMatrix::for_each`]: crate::model::InterestMatrix::for_each
 
 use crate::ids::{EventId, IntervalId};
 use crate::model::Instance;
@@ -25,6 +35,15 @@ fn luce_denominator(inst: &Instance, s: &Schedule, user: usize, t: IntervalId) -
     d
 }
 
+/// Eq. 1 from its parts: `σ · µ / denom`, or 0 when nothing is on offer.
+#[inline]
+fn luce_share(sigma: f64, mu: f64, denom: f64) -> f64 {
+    if denom <= 0.0 {
+        return 0.0;
+    }
+    sigma * mu / denom
+}
+
 /// Probability `ρ_{u,e}^t` (Eq. 1) that user `u` attends event `e` during
 /// interval `t`, given the events scheduled alongside it.
 ///
@@ -40,11 +59,49 @@ pub fn attendance_probability(
     t: IntervalId,
 ) -> f64 {
     debug_assert!(s.events_at(t).contains(&e), "ρ is defined for events scheduled at the interval");
-    let denom = luce_denominator(inst, s, user, t);
-    if denom <= 0.0 {
-        return 0.0;
+    luce_share(
+        inst.activity.value(user, t.index()),
+        inst.event_interest.value(e.index(), user),
+        luce_denominator(inst, s, user, t),
+    )
+}
+
+/// Expected attendance `ω_e` (Eq. 2) of every event, indexed by event id
+/// (0 for unscheduled events): the interval-major pass of the module docs.
+///
+/// Per user, a denominator adds the competing and then the co-scheduled
+/// columns in [`luce_denominator`]'s order; per event, the terms add in
+/// ascending interval and then ascending user order, as
+/// [`attendance_probability`] summed user by user would. A user a column
+/// walk skips has `µ = 0` there: it would add `+0.0` to a denominator, or
+/// `w · 0 = +0.0` to an event's total, and neither sum is ever `-0.0`, so
+/// skipping it changes no bit. Scratch is one `|U|` buffer plus the `|E|`
+/// totals.
+fn attendance_by_event(inst: &Instance, s: &Schedule) -> Vec<f64> {
+    let mut totals = vec![0.0; inst.num_events()];
+    let mut denom = vec![0.0; inst.num_users()];
+    for ti in 0..inst.num_intervals() {
+        let t = IntervalId::new(ti);
+        let events = s.events_at(t);
+        if events.is_empty() {
+            continue;
+        }
+        denom.fill(0.0);
+        for c in inst.competing_at(t) {
+            inst.competing_interest.for_each(c.index(), |u, mu| denom[u] += mu);
+        }
+        for &p in events {
+            inst.event_interest.for_each(p.index(), |u, mu| denom[u] += mu);
+        }
+        for &e in events {
+            let total = &mut totals[e.index()];
+            inst.event_interest.for_each(e.index(), |u, mu| {
+                *total +=
+                    inst.user_weight(u) * luce_share(inst.activity.value(u, ti), mu, denom[u]);
+            });
+        }
     }
-    inst.activity.value(user, t.index()) * inst.event_interest.value(e.index(), user) / denom
+    totals
 }
 
 /// Expected attendance `ω_e^t` (Eq. 2) of scheduled event `e`, summed over
@@ -53,35 +110,24 @@ pub fn attendance_probability(
 ///
 /// Returns 0 if `e` is not scheduled by `s`.
 pub fn expected_attendance(inst: &Instance, s: &Schedule, e: EventId) -> f64 {
-    let Some(start) = s.interval_of(e) else {
-        return 0.0;
-    };
-    let d = inst.events[e.index()].duration as usize;
-    let mut total = 0.0;
-    for ti in start.index()..start.index() + d {
-        let t = IntervalId::new(ti);
-        for user in 0..inst.num_users() {
-            total += inst.user_weight(user) * attendance_probability(inst, s, user, e, t);
-        }
-    }
-    total
+    attendance_by_event(inst, s)[e.index()]
 }
 
 /// Total utility `Ω(S)` (Eq. 3): expected attendance summed over all
-/// scheduled events.
+/// scheduled events, in assignment order.
 pub fn total_utility(inst: &Instance, s: &Schedule) -> f64 {
-    s.assignments().iter().map(|a| expected_attendance(inst, s, a.event)).sum()
+    let omega = attendance_by_event(inst, s);
+    s.assignments().iter().map(|a| omega[a.event.index()]).sum()
 }
 
 /// Profit-oriented utility (the §2.1 "profit-oriented SES" extension):
-/// `Σ_e (ω_e · revenue_per_attendee − cost_e)` over scheduled events.
+/// `Σ_e (ω_e · revenue_per_attendee − cost_e)` over scheduled events, in
+/// assignment order.
 pub fn total_profit(inst: &Instance, s: &Schedule, revenue_per_attendee: f64) -> f64 {
+    let omega = attendance_by_event(inst, s);
     s.assignments()
         .iter()
-        .map(|a| {
-            expected_attendance(inst, s, a.event) * revenue_per_attendee
-                - inst.events[a.event.index()].cost
-        })
+        .map(|a| omega[a.event.index()] * revenue_per_attendee - inst.events[a.event.index()].cost)
         .sum()
 }
 

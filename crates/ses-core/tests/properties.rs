@@ -3,6 +3,8 @@
 //! schedule feasibility bookkeeping.
 
 use proptest::prelude::*;
+use ses_algorithms::prelude::Scheduler;
+use ses_algorithms::SchedulerKind;
 use ses_core::ids::{EventId, IntervalId, LocationId};
 use ses_core::model::{
     ActivityMatrix, CompetingEvent, DenseInterest, Event, Instance, InstanceBuilder,
@@ -10,7 +12,7 @@ use ses_core::model::{
 };
 use ses_core::parallel::{Threads, PAR_BLOCK};
 use ses_core::schedule::Schedule;
-use ses_core::scoring::utility::total_utility;
+use ses_core::scoring::utility::{expected_attendance, total_profit, total_utility};
 use ses_core::scoring::{gain, ScoringEngine};
 
 /// Quantized probability in [0, 1] (steps of 1/64) — avoids degenerate
@@ -884,6 +886,153 @@ proptest! {
                     step, op, name
                 );
             }
+        }
+    }
+}
+
+/// The row-wise definition of Eq. 1–3 that `scoring::utility` replaced
+/// with its interval-major pass: per scheduled event, per spanned interval
+/// and per user, the Luce denominator rebuilt from point lookups. Kept here
+/// as the oracle the pass must match bit for bit.
+mod row_wise {
+    use ses_core::ids::{EventId, IntervalId};
+    use ses_core::model::Instance;
+    use ses_core::schedule::Schedule;
+
+    fn denominator(inst: &Instance, s: &Schedule, user: usize, t: IntervalId) -> f64 {
+        let mut d = 0.0;
+        for c in inst.competing_at(t) {
+            d += inst.competing_interest.value(c.index(), user);
+        }
+        for &p in s.events_at(t) {
+            d += inst.event_interest.value(p.index(), user);
+        }
+        d
+    }
+
+    pub fn expected_attendance(inst: &Instance, s: &Schedule, e: EventId) -> f64 {
+        let Some(start) = s.interval_of(e) else {
+            return 0.0;
+        };
+        let d = inst.events[e.index()].duration as usize;
+        let mut total = 0.0;
+        for ti in start.index()..start.index() + d {
+            let t = IntervalId::new(ti);
+            for user in 0..inst.num_users() {
+                let denom = denominator(inst, s, user, t);
+                let rho = if denom <= 0.0 {
+                    0.0
+                } else {
+                    inst.activity.value(user, ti) * inst.event_interest.value(e.index(), user)
+                        / denom
+                };
+                total += inst.user_weight(user) * rho;
+            }
+        }
+        total
+    }
+
+    pub fn total_utility(inst: &Instance, s: &Schedule) -> f64 {
+        s.assignments().iter().map(|a| expected_attendance(inst, s, a.event)).sum()
+    }
+
+    pub fn total_profit(inst: &Instance, s: &Schedule, revenue: f64) -> f64 {
+        s.assignments()
+            .iter()
+            .map(|a| {
+                expected_attendance(inst, s, a.event) * revenue - inst.events[a.event.index()].cost
+            })
+            .sum()
+    }
+}
+
+/// An instance of 2–4 user blocks (the last one possibly short) for the
+/// Ω(S) oracle: non-dyadic interest and activity (so a sum taken in
+/// another order shows in the bits), events of one or two intervals with
+/// costs, optional user weights, and **silent** users (every seventh) with
+/// zero interest in every event and competing event, whose Luce
+/// denominator is zero at every interval.
+fn omega_instance() -> impl Strategy<Value = Instance> {
+    (2usize..=4, 0usize..PAR_BLOCK / 2, 3usize..=6, 2usize..=4, 0usize..=3, 0u8..2, 0u64..1_000_000)
+        .prop_map(|(blocks, short, ne, nt, nc, weighted, seed)| {
+            let nu = blocks * PAR_BLOCK - short;
+            let level = move |a: usize, b: usize| churn_value(seed, a, b);
+            let silent = |u: usize| u % 7 == 3;
+            let mut b = InstanceBuilder::new();
+            for e in 0..ne {
+                let duration = 1 + (churn_value(seed, 200 + e, 0) < 0.4) as u32;
+                let cost = level(300 + e, 0);
+                b.add_event(
+                    Event::new(LocationId::new(e % 3), 1.0).with_duration(duration).with_cost(cost),
+                );
+            }
+            b.add_intervals(nt);
+            for c in 0..nc {
+                b.add_competing(CompetingEvent::new(IntervalId::new(c % nt)));
+            }
+            let interest = |offset: usize| {
+                move |i: usize, u: usize| if silent(u) { 0.0 } else { level(offset + i, u) }
+            };
+            let act = (0..nu * nt).map(|i| level(99, i)).collect();
+            let mut b = b
+                .event_interest(DenseInterest::from_fn(ne, nu, interest(0)))
+                .competing_interest(DenseInterest::from_fn(nc, nu, interest(100)))
+                .activity(ActivityMatrix::from_raw(nu, nt, act).unwrap())
+                .resources(100.0);
+            if weighted == 1 {
+                b = b.user_weights((0..nu).map(|u| 0.5 + level(98, u)).collect());
+            }
+            b.build().unwrap()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The interval-major Ω(S) pass is bit-equal to the row-wise
+    /// definition. On dense, sparse and compressed storage, for the empty
+    /// schedule and for ALG, HOR and RAND schedules (events of one and two
+    /// intervals, weighted and unweighted users, silent users with a zero
+    /// denominator at every occupied interval), `total_utility`,
+    /// `total_profit` and `expected_attendance` of every event match the
+    /// oracle's bits. The empty schedule's Ω is `-0.0`, the neutral element
+    /// of `f64`'s `Sum` — the bits `tests/golden/serve_hostile.jsonl`
+    /// pins for a `k = 0` request.
+    #[test]
+    fn total_utility_matches_row_wise_oracle(
+        inst in omega_instance(),
+        k in 1usize..=6,
+        seed in 0u64..1_000,
+        revenue in 0.5f64..2.0,
+    ) {
+        for kind in StorageKind::ALL {
+            let live = with_storage(&inst, kind);
+            let mut schedules = vec![("empty", Schedule::new(&live))];
+            for scheduler in [SchedulerKind::Alg, SchedulerKind::Hor, SchedulerKind::Rand(seed)] {
+                schedules.push((scheduler.name(), scheduler.run(&live, k).schedule));
+            }
+            for (name, s) in &schedules {
+                let omega = total_utility(&live, s);
+                prop_assert_eq!(
+                    omega.to_bits(),
+                    row_wise::total_utility(&live, s).to_bits(),
+                    "{} on {}: Ω {} differs from the row-wise oracle", name, kind, omega
+                );
+                prop_assert_eq!(
+                    total_profit(&live, s, revenue).to_bits(),
+                    row_wise::total_profit(&live, s, revenue).to_bits(),
+                    "{} on {}: profit differs from the row-wise oracle", name, kind
+                );
+                for e in 0..live.num_events() {
+                    let e = EventId::new(e);
+                    prop_assert_eq!(
+                        expected_attendance(&live, s, e).to_bits(),
+                        row_wise::expected_attendance(&live, s, e).to_bits(),
+                        "{} on {}: ω of {:?} differs from the row-wise oracle", name, kind, e
+                    );
+                }
+            }
+            prop_assert_eq!(total_utility(&live, &schedules[0].1).to_bits(), (-0.0f64).to_bits());
         }
     }
 }
